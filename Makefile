@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-full lint lint-fixtures bench bench-study trace-smoke chaos chaos-distributed predictd-smoke profile fmt
+.PHONY: build test race race-full lint lint-fixtures bench bench-study trace-smoke chaos shards-smoke predictd-smoke profile fmt
 
 build:
 	$(GO) build ./...
@@ -97,37 +97,41 @@ chaos:
 		> chaos-out/tables.csv
 	$(GO) run ./cmd/tracecheck chaos-out/spans.jsonl chaos-out/manifest.json chaos-out/metrics.prom
 
-# chaos-distributed exercises the distributed campaign end to end.
-# First the subprocess e2e suite (chaos campaign, clean campaign,
-# journal triage); then an artifact campaign into chaos-distributed-out/:
-# three shard workers, one SIGKILLed mid-slice (crash-restart), one
-# SIGSTOPped past the straggler threshold (work-stolen), and one journal
-# corrupted after completion (quarantined by the merge). The merged
-# Table 4 must be byte-identical to a sequential run of the same slice,
-# the corrupt shard must be reported by name, and tracecheck -shards
-# must accept the surviving workers' span logs. CI uploads the
-# directory (shard journals, steal snapshots, worker logs, span logs,
-# manifests) as an artifact. The coordinator's own stderr lands in
-# coordinator.stderr — *.log is reserved for the per-shard worker logs
-# the coordinator manages.
-chaos-distributed:
+# shards-smoke runs the sharded study by hand, as an operator would.
+# First the subprocess CLI suite (hand-run shards + merge, bad
+# invocations, journal triage); then into shards-smoke-out/: three
+# traced shard runs of one slice, a -checkpoint-dir merge whose Table 4
+# must be byte-identical to a sequential run of the same slice,
+# tracecheck -shards over the shards' span logs, and -checkpoint-info on
+# one journal. CI uploads the directory (journals, span logs, manifests,
+# both Table 4 CSVs, the triage report) as an artifact.
+shards-smoke:
 	$(GO) test -timeout 30m \
-		-run 'TestDistributedChaosCampaignConverges|TestCoordinatorCleanCampaign|TestCheckpointInfo' \
+		-run 'TestHandRunShardsMerge|TestRejectsBadInvocations|TestCheckpointInfo' \
 		./cmd/metricstudy
-	mkdir -p chaos-distributed-out
-	$(GO) run ./cmd/metricstudy -quiet -csv -only table4 \
+	rm -rf shards-smoke-out
+	mkdir -p shards-smoke-out
+	$(GO) build -o shards-smoke-out/metricstudy ./cmd/metricstudy
+	./shards-smoke-out/metricstudy -quiet -csv -only table4 \
 		-apps avus-standard -targets ARL_Opteron,MHPCC_P3 \
-		> chaos-distributed-out/table4-sequential.csv
-	$(GO) run ./cmd/metricstudy -quiet -csv -only table4 -trace \
+		> shards-smoke-out/table4-sequential.csv
+	for i in 0 1 2; do \
+		./shards-smoke-out/metricstudy -quiet -trace \
+			-apps avus-standard -targets ARL_Opteron,MHPCC_P3 \
+			-shard-index $$i -shard-count 3 \
+			-checkpoint shards-smoke-out/shard$$i.ckpt \
+			-spans shards-smoke-out/shard$$i.spans.jsonl \
+			-manifest shards-smoke-out/shard$$i.manifest.json || exit 1; \
+	done
+	./shards-smoke-out/metricstudy -quiet -csv -only table4 \
 		-apps avus-standard -targets ARL_Opteron,MHPCC_P3 \
-		-coordinator -shards 3 -checkpoint-dir chaos-distributed-out \
-		-straggle-timeout 5s \
-		-chaos-kill shard0@1 -chaos-stop shard1@1 -chaos-corrupt shard2 \
-		> chaos-distributed-out/table4-merged.csv \
-		2> chaos-distributed-out/coordinator.stderr
-	cmp chaos-distributed-out/table4-sequential.csv chaos-distributed-out/table4-merged.csv
-	grep -q 'quarantined shard journal' chaos-distributed-out/coordinator.stderr
-	$(GO) run ./cmd/tracecheck -shards chaos-distributed-out
+		-checkpoint-dir shards-smoke-out \
+		> shards-smoke-out/table4-merged.csv
+	cmp shards-smoke-out/table4-sequential.csv shards-smoke-out/table4-merged.csv
+	$(GO) run ./cmd/tracecheck -shards shards-smoke-out
+	./shards-smoke-out/metricstudy -checkpoint-info shards-smoke-out/shard0.ckpt \
+		> shards-smoke-out/shard0-info.txt
+	grep -q 'status: clean' shards-smoke-out/shard0-info.txt
 
 # predictd-smoke boots the prediction server on an ephemeral port with
 # span + access logs enabled, waits for the -ready-file handshake, and

@@ -2,12 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -15,10 +15,10 @@ import (
 	"hpcmetrics/internal/persist"
 )
 
-// The end-to-end distributed chaos suite: it builds the real metricstudy
-// and tracecheck binaries, runs a coordinator campaign with workers
-// being SIGKILLed, SIGSTOPped (stolen), and corrupted, and demands the
-// merged Table 4 be byte-identical to a sequential single-process run.
+// The end-to-end CLI suite: it builds the real metricstudy and
+// tracecheck binaries, runs shards by hand into one directory, and
+// demands the merged Table 4 be byte-identical to a sequential
+// single-process run.
 
 var binDir string
 
@@ -45,9 +45,8 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// sliceArgs restrict every run to the chaos slice: one app, two target
-// systems — a grid small enough for subprocess campaigns, big enough to
-// shard three ways.
+// sliceArgs restrict every run to one app on two target systems — a
+// grid small enough for subprocess runs, big enough to shard.
 var sliceArgs = []string{"-apps", "avus-standard", "-targets", "ARL_Opteron,MHPCC_P3"}
 
 // runBin runs a built binary and fails the test on a non-zero exit.
@@ -68,7 +67,7 @@ var (
 )
 
 // golden returns the sequential single-process Table 4 CSV the merged
-// campaigns must reproduce byte for byte.
+// shard runs must reproduce byte for byte.
 func golden(t *testing.T) string {
 	t.Helper()
 	goldenOnce.Do(func() {
@@ -81,93 +80,77 @@ func golden(t *testing.T) string {
 	return goldenTable4
 }
 
-// TestDistributedChaosCampaignConverges is the acceptance run: a
-// three-shard coordinator campaign where shard0's worker is SIGKILLed
-// mid-slice (crash-restart), shard1's worker is SIGSTOPped past the
-// straggler threshold (work stealing), and shard2's journal is
-// corrupted mid-file after it completes (quarantine + recompute). The
-// campaign must still exit 0 and print a Table 4 byte-identical to the
-// sequential run, and the surviving workers' span logs must pass
-// tracecheck -shards.
-func TestDistributedChaosCampaignConverges(t *testing.T) {
+// TestHandRunShardsMerge drives the sharded flow the way an operator
+// does: two traced shard runs journal into one directory, then a
+// -checkpoint-dir merge prints the study. The shards print no tables,
+// the merged Table 4 is byte-identical to the sequential run, and
+// tracecheck -shards accepts the shards' span logs.
+func TestHandRunShardsMerge(t *testing.T) {
 	if testing.Short() {
-		t.Skip("subprocess campaign; skipped in -short")
-	}
-	want := golden(t)
-
-	dir := t.TempDir()
-	args := append([]string{
-		"-quiet", "-csv", "-only", "table4", "-trace",
-		"-coordinator", "-shards", "3", "-checkpoint-dir", dir,
-		"-straggle-timeout", "5s",
-		"-chaos-kill", "shard0@1",
-		"-chaos-stop", "shard1@1",
-		"-chaos-corrupt", "shard2",
-	}, sliceArgs...)
-	stdout, stderr := runBin(t, "metricstudy", args...)
-
-	if stdout != want {
-		t.Errorf("merged Table 4 differs from the sequential run:\n--- got\n%s--- want\n%s", stdout, want)
-	}
-	for _, event := range []string{
-		"chaos: SIGKILLed shard shard0",
-		"restarting with -resume",
-		"chaos: SIGSTOPped shard shard1",
-		"stealing its remaining work",
-		"chaos: corrupted",
-		"no journal covered shard slice(s) [2]",
-	} {
-		if !strings.Contains(stderr, event) {
-			t.Errorf("campaign stderr missing %q:\n%s", event, stderr)
-		}
-	}
-	// The corrupt shard is quarantined by name, whichever of its
-	// journals ended up covering the slice.
-	if !regexp.MustCompile(`quarantined shard journal \S*shard2\S*\.ckpt`).MatchString(stderr) {
-		t.Errorf("campaign stderr does not quarantine a shard2 journal:\n%s", stderr)
-	}
-
-	// The victim of the steal was SIGKILLed before it could export spans,
-	// so the directory holds logs only from workers that finished — and
-	// those must be a consistent multi-shard trace.
-	tcOut, _ := runBin(t, "tracecheck", "-shards", dir)
-	for _, name := range []string{"shard0", "shard1", "shard2"} {
-		if !strings.Contains(tcOut, name) {
-			t.Errorf("tracecheck output missing %s: %s", name, tcOut)
-		}
-	}
-
-	// The corrupt journal was quarantined by the merge report, not
-	// rewritten or deleted — it's still on disk for post-mortems.
-	if m, _ := filepath.Glob(filepath.Join(dir, "shard2*.ckpt")); len(m) != 1 {
-		t.Errorf("want exactly the corrupt shard2 journal on disk, got %v", m)
-	}
-	// The stolen shard left both the victim's journal and the stealer's.
-	for _, f := range []string{"shard1.ckpt", "shard1-steal.ckpt"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("steal artifact %s missing: %v", f, err)
-		}
-	}
-}
-
-// TestCoordinatorCleanCampaign: no chaos, two shards — the plain
-// distributed path also converges byte-identically.
-func TestCoordinatorCleanCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess campaign; skipped in -short")
+		t.Skip("subprocess shard runs; skipped in -short")
 	}
 	want := golden(t)
 	dir := t.TempDir()
-	args := append([]string{
-		"-quiet", "-csv", "-only", "table4",
-		"-coordinator", "-shards", "2", "-checkpoint-dir", dir,
-	}, sliceArgs...)
+	for i := 0; i < 2; i++ {
+		stem := filepath.Join(dir, fmt.Sprintf("shard%d", i))
+		args := append([]string{
+			"-quiet", "-csv", "-only", "table4",
+			"-shard-index", fmt.Sprint(i), "-shard-count", "2",
+			"-checkpoint", stem + ".ckpt",
+			"-spans", stem + ".spans.jsonl", "-manifest", stem + ".manifest.json",
+		}, sliceArgs...)
+		if stdout, _ := runBin(t, "metricstudy", args...); stdout != "" {
+			t.Errorf("shard %d printed tables:\n%s", i, stdout)
+		}
+	}
+
+	args := append([]string{"-quiet", "-csv", "-only", "table4", "-checkpoint-dir", dir}, sliceArgs...)
 	stdout, stderr := runBin(t, "metricstudy", args...)
 	if stdout != want {
 		t.Errorf("merged Table 4 differs from the sequential run:\n--- got\n%s--- want\n%s", stdout, want)
 	}
 	if strings.Contains(stderr, "quarantined") || strings.Contains(stderr, "no journal covered") {
-		t.Errorf("clean campaign reported damage:\n%s", stderr)
+		t.Errorf("clean merge reported damage:\n%s", stderr)
+	}
+
+	tcOut, _ := runBin(t, "tracecheck", "-shards", dir)
+	for _, name := range []string{"shard0", "shard1"} {
+		if !strings.Contains(tcOut, name) {
+			t.Errorf("tracecheck output missing %s: %s", name, tcOut)
+		}
+	}
+}
+
+// TestRejectsBadInvocations: a misspelled -only section is a usage error
+// rather than an empty exit-0 run, and a shard without a journal fails
+// instead of running its slice and dropping it.
+func TestRejectsBadInvocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs the built binary; skipped in -short")
+	}
+	for _, tc := range []struct {
+		args     []string
+		wantCode int
+		wantErr  string
+	}{
+		{[]string{"-only", "tabel4"}, 2, `unknown -only section "tabel4"`},
+		{[]string{"-only", "none"}, 2, `unknown -only section "none"`},
+		{[]string{"-shard-index", "0", "-shard-count", "2", "-only", "table4"}, 1, "needs a CheckpointPath"},
+	} {
+		cmd := exec.Command(filepath.Join(binDir, "metricstudy"), tc.args...)
+		var out, errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		err := cmd.Run()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != tc.wantCode {
+			t.Errorf("%v: err = %v, want exit code %d", tc.args, err, tc.wantCode)
+		}
+		if !strings.Contains(errb.String(), tc.wantErr) {
+			t.Errorf("%v: stderr missing %q:\n%s", tc.args, tc.wantErr, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed output:\n%s", tc.args, out.String())
+		}
 	}
 }
 
@@ -209,4 +192,33 @@ func TestCheckpointInfo(t *testing.T) {
 	if !strings.Contains(stdout, "status: corrupt (bad record at line 2, 2 intact records stranded after it") {
 		t.Errorf("corrupt journal not triaged:\n%s", stdout)
 	}
+}
+
+// corruptJournal flips one checksum hex digit on the journal's first
+// record line, leaving later records stranded beyond the bad line — the
+// signature MergeCheckpoints must quarantine (a torn tail would merely
+// be truncated).
+func corruptJournal(path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	lines := bytes.Split(raw, []byte("\n"))
+	if len(lines) < 3 || len(bytes.TrimSpace(lines[2])) == 0 {
+		return fmt.Errorf("%s: need at least two records to corrupt mid-file", path)
+	}
+	const marker = `"crc":"`
+	i := bytes.Index(lines[1], []byte(marker))
+	if i < 0 {
+		return fmt.Errorf("%s: first record has no checksum field", path)
+	}
+	pos := i + len(marker)
+	line := append([]byte{}, lines[1]...)
+	if line[pos] == '0' {
+		line[pos] = 'f'
+	} else {
+		line[pos] = '0'
+	}
+	lines[1] = line
+	return os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644)
 }

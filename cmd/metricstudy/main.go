@@ -16,15 +16,12 @@
 // can be re-run with -resume and pick up where it left off; -faults and
 // -fault-seed arm the deterministic chaos injector (internal/faults).
 //
-// Distributed runs (see README "Distributed runs"): -shard-count with
-// -shard-index runs one tagged slice of the grid into its own journal;
-// -checkpoint-dir merges a directory of shard journals and finishes the
-// study from them; -coordinator spawns -shards N shard workers as child
-// processes, supervises them (crash-restart with -resume, work stealing
-// past -straggle-timeout, quarantine of corrupt journals), and then
-// runs the merge itself. -checkpoint-info triages any journal without
-// touching it. The -chaos-* knobs inject coordinator-level failures for
-// the distributed chaos suite.
+// Sharded runs (see README "Distributed runs"): -shard-count with
+// -shard-index runs one tagged slice of the grid into its own -checkpoint
+// journal and prints no tables; -checkpoint-dir merges a directory of
+// shard journals (quarantining corrupt ones) and finishes the study from
+// them. The shards are started by hand, on one machine or several.
+// -checkpoint-info triages any journal without touching it.
 //
 // Usage:
 //
@@ -35,13 +32,9 @@
 //	            [-faults rules] [-fault-seed n]
 //	            [-trace] [-spans f.jsonl] [-manifest f.json] [-prom f.txt]
 //	            [-cpuprofile f] [-memprofile f] [-tracefile f]
-//	metricstudy -shard-index i -shard-count n [-shard-name s] [-shard-tail]
-//	            [-shard-slot k] -checkpoint f.ckpt [...]
+//	metricstudy -shard-index i -shard-count n [-shard-name s]
+//	            -checkpoint f.ckpt [-resume] [...]
 //	metricstudy -checkpoint-dir dir [...]
-//	metricstudy -coordinator -shards n -checkpoint-dir dir
-//	            [-straggle-timeout d] [-max-restarts n]
-//	            [-chaos-kill name@recs] [-chaos-stop name@recs]
-//	            [-chaos-corrupt name] [...]
 //	metricstudy -checkpoint-info f.ckpt
 package main
 
@@ -55,15 +48,19 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"syscall"
-	"time"
 
 	"hpcmetrics"
 	"hpcmetrics/internal/obs"
+	"hpcmetrics/internal/persist"
 	"hpcmetrics/internal/report"
 	"hpcmetrics/internal/study"
 )
+
+// sections lists the values -only accepts.
+var sections = []string{"table4", "table5", "figures", "observed", "probes", "balanced", "correlation", "ranking", "skips", "phases"}
 
 func main() {
 	if err := run(); err != nil {
@@ -89,7 +86,7 @@ func splitList(s string) []string {
 func run() error {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
-	only := flag.String("only", "", "print only one section: table4, table5, figures, observed, probes, balanced, correlation, ranking, skips, phases")
+	only := flag.String("only", "", "print only one section: "+strings.Join(sections, ", "))
 	ablate := flag.String("ablate", "", "ablation: noise, loadedmem, or dep (runs the study with that model ingredient disabled)")
 	appsFlag := flag.String("apps", "", "comma-separated test cases to study (default all, e.g. avus-standard)")
 	targetsFlag := flag.String("targets", "", "comma-separated target systems to study (default all, e.g. ARL_Opteron)")
@@ -110,18 +107,15 @@ func run() error {
 	shardIndex := flag.Int("shard-index", 0, "this worker's slice of the grid (with -shard-count)")
 	shardCount := flag.Int("shard-count", 0, "total shard count; > 1 runs only this worker's slice")
 	shardName := flag.String("shard-name", "", "label for this shard's journal, span log, and manifest (default shard<index>)")
-	shardTail := flag.Bool("shard-tail", false, "process this shard's cells tail-first (work-stealer order)")
-	shardSlot := flag.Int("shard-slot", -1, "coordinator-assigned span-id slot for this process (default: shard index)")
-	checkpointDir := flag.String("checkpoint-dir", "", "merge a directory of shard journals and finish the study from them (coordinator campaign dir with -coordinator)")
-	coordinator := flag.Bool("coordinator", false, "spawn and supervise -shards shard workers, then merge (needs -checkpoint-dir)")
-	shards := flag.Int("shards", 0, "shard worker count for -coordinator")
-	straggleTimeout := flag.Duration("straggle-timeout", 30*time.Second, "journal-growth silence after which the coordinator steals a shard's remaining work")
-	maxRestarts := flag.Int("max-restarts", 3, "per-shard crash-restart budget before the coordinator abandons the shard to the merge")
+	checkpointDir := flag.String("checkpoint-dir", "", "merge a directory of shard journals and finish the study from them")
 	checkpointInfo := flag.String("checkpoint-info", "", "inspect a checkpoint journal (version, tag, records, last unit, integrity) and exit")
-	chaosKill := flag.String("chaos-kill", "", "coordinator chaos: SIGKILL worker name@records (comma-separated)")
-	chaosStop := flag.String("chaos-stop", "", "coordinator chaos: SIGSTOP worker name@records to fake a straggler (comma-separated)")
-	chaosCorrupt := flag.String("chaos-corrupt", "", "coordinator chaos: corrupt the named shard's covering journal mid-file after it completes, dropping any other journal of the shard (comma-separated)")
 	flag.Parse()
+
+	if *only != "" && !slices.Contains(sections, *only) {
+		fmt.Fprintf(os.Stderr, "metricstudy: unknown -only section %q\n", *only)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *checkpointInfo != "" {
 		return printCheckpointInfo(*checkpointInfo)
@@ -169,7 +163,7 @@ func run() error {
 		return fmt.Errorf("-resume needs -checkpoint")
 	}
 	if *shardCount > 0 {
-		opts.Shard = study.Shard{Index: *shardIndex, Count: *shardCount, Name: *shardName, Tail: *shardTail}
+		opts.Shard = study.Shard{Index: *shardIndex, Count: *shardCount, Name: *shardName}
 	}
 	if *faultsSpec != "" {
 		rules, err := hpcmetrics.ParseFaultRules(*faultsSpec)
@@ -200,13 +194,9 @@ func run() error {
 		opts.Obs = obs.New()
 		if opts.Shard.Enabled() {
 			// A shard worker stamps its spans and offsets its span IDs
-			// into a coordinator-assigned slot so any set of worker logs
-			// concatenates without collisions.
-			slot := *shardSlot
-			if slot < 0 {
-				slot = *shardIndex
-			}
-			opts.Obs.Tracer.SetShard(opts.Shard.Label(), slot)
+			// into its shard index's slot so the shards' logs concatenate
+			// without collisions.
+			opts.Obs.Tracer.SetShard(opts.Shard.Label(), opts.Shard.Index)
 		}
 	}
 
@@ -215,36 +205,6 @@ func run() error {
 	// consistent and a -resume run can pick up cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *coordinator {
-		// Supervise a fleet of shard workers into -checkpoint-dir, then
-		// fall through to the normal study path: the merge run below
-		// replays their journals and prints the tables.
-		c := &coord{
-			dir:         *checkpointDir,
-			shards:      *shards,
-			workersPer:  *workers,
-			straggle:    *straggleTimeout,
-			maxRestarts: *maxRestarts,
-			traced:      *traceOn,
-			workerArgs:  workerArgs(flag.CommandLine),
-		}
-		var err error
-		if c.chaosKill, err = parseChaosAt(*chaosKill); err != nil {
-			return err
-		}
-		if c.chaosStop, err = parseChaosAt(*chaosStop); err != nil {
-			return err
-		}
-		c.chaosCorrupt = make(map[string]bool)
-		for _, name := range splitList(*chaosCorrupt) {
-			c.chaosCorrupt[name] = true
-		}
-		if err := c.run(ctx); err != nil {
-			return err
-		}
-		opts.CheckpointDir = c.dir
-	}
 
 	res, err := study.RunContext(ctx, opts)
 	if err != nil {
@@ -267,7 +227,9 @@ func run() error {
 			fmt.Println(t.String())
 		}
 	}
-	section := func(name string) bool { return *only == "" || *only == name }
+	// A shard holds only its slice's observations: every table would be
+	// partial, so it prints none and its journal is the product.
+	section := func(name string) bool { return !opts.Shard.Enabled() && (*only == "" || *only == name) }
 
 	if section("probes") {
 		emit(hpcmetrics.ProbeTable(res))
@@ -290,7 +252,7 @@ func run() error {
 	}
 	if section("figures") {
 		for _, tc := range hpcmetrics.TestCases() {
-			if !wantsApp(opts, tc.ID()) {
+			if !opts.WantsApp(tc.ID()) {
 				continue
 			}
 			t, err := hpcmetrics.FigureTable(res, tc.ID())
@@ -302,7 +264,7 @@ func run() error {
 	}
 	if section("observed") {
 		for _, tc := range hpcmetrics.TestCases() {
-			if !wantsApp(opts, tc.ID()) {
+			if !opts.WantsApp(tc.ID()) {
 				continue
 			}
 			t, err := hpcmetrics.ObservedTable(res, tc.ID())
@@ -361,18 +323,33 @@ func writeTo(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// wantsApp mirrors the study's app filter so sections skip apps outside
-// a -apps slice instead of erroring on their missing cells.
-func wantsApp(opts study.Options, id string) bool {
-	if len(opts.Apps) == 0 {
-		return true
+// printCheckpointInfo renders a journal inspection report — the
+// -checkpoint-info triage view.
+func printCheckpointInfo(path string) error {
+	info, err := persist.Inspect(path)
+	if err != nil {
+		return err
 	}
-	for _, a := range opts.Apps {
-		if a == id {
-			return true
-		}
+	fmt.Printf("checkpoint: %s\n", info.Path)
+	fmt.Printf("format: %s, version %d\n", info.Format, info.Version)
+	fmt.Printf("options tag: %s\n", info.BaseTag)
+	if info.Sharded {
+		fmt.Printf("shard: %s\n", info.Shard)
 	}
-	return false
+	fmt.Printf("records: %d (%d probes, %d cells)\n", info.Records, info.Probes, info.Cells)
+	if info.LastKey != "" {
+		fmt.Printf("last unit: %s\n", info.LastKey)
+	}
+	switch info.Status {
+	case persist.JournalClean:
+		fmt.Println("status: clean")
+	case persist.JournalTornTail:
+		fmt.Printf("status: torn tail (undecodable line %d; a resume truncates it)\n", info.BadLine)
+	case persist.JournalCorrupt:
+		fmt.Printf("status: corrupt (bad record at line %d, %d intact records stranded after it; a merge quarantines this journal)\n",
+			info.BadLine, info.Stranded)
+	}
+	return nil
 }
 
 // exportObs writes the span log, run manifest, and Prometheus dump for a

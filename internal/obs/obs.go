@@ -286,11 +286,12 @@ func NewTracer() *Tracer {
 // SetShard gives the tracer a distributed-study identity: every span it
 // produces carries the shard name, and span IDs are offset into slot's
 // private range ((slot+1) << 48 plus the local counter) so logs from any
-// number of coordinated processes concatenate without ID collisions —
-// each slot allows 2^48 spans, far beyond any run. Slots are assigned by
-// the coordinator, one per spawned process (restarts and work stealers
-// get fresh slots even when they share a shard name). Call before the
-// first span starts; nil receivers and negative slots are no-ops.
+// number of shard processes concatenate without ID collisions — each
+// slot allows 2^48 spans, far beyond any run. The slot is the shard
+// index; nothing assigns fresh slots, so a shard re-run with -resume
+// reuses its slot and its span log should replace the earlier run's.
+// Call before the first span starts; nil receivers and negative slots
+// are no-ops.
 func (t *Tracer) SetShard(name string, slot int) {
 	if t == nil || slot < 0 {
 		return

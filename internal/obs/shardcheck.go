@@ -11,9 +11,9 @@ type ShardStats struct {
 	Spans int
 	// Shards counts spans per shard name.
 	Shards map[string]int
-	// Slots is the number of distinct span-ID slots (coordinated
-	// processes) seen across the log — at least one per shard name, more
-	// when restarts or work stealers contributed spans.
+	// Slots is the number of distinct span-ID slots (producing
+	// processes) seen across the log — one per shard name when each
+	// shard's log came from one run.
 	Slots int
 }
 

@@ -55,7 +55,8 @@ func TestCheckShardedSpansAccepts(t *testing.T) {
 	var spans []SpanRecord
 	spans = append(spans, shardSpans(t, "shard0", 0)...)
 	spans = append(spans, shardSpans(t, "shard1", 1)...)
-	// A work stealer: same shard name, fresh slot.
+	// Two journals of one shard written by separate processes, each
+	// with its own slot.
 	spans = append(spans, shardSpans(t, "shard0", 2)...)
 	manifests := []Manifest{{Shard: "shard0"}, {Shard: "shard1"}, {Shard: "shard0"}}
 	stats, err := CheckShardedSpans(spans, manifests)

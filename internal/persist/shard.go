@@ -7,10 +7,11 @@
 // unresumable into the wrong slice, while the shared base tag lets
 // MergeCheckpoints fold a directory of shard journals back into one
 // campaign: records are deduplicated first-record-wins (every record is
-// a pure function of the options tag, so duplicates from work stealing
-// are byte-identical), journals from a different campaign are rejected
-// outright, and journals corrupted beyond a torn tail are quarantined
-// with a per-file reason instead of failing the merge. Inspect is the
+// a pure function of the options tag, so duplicates from a shard re-run
+// into a second journal are byte-identical), journals from a different
+// campaign are rejected outright, and journals corrupted beyond a torn
+// tail are quarantined with a per-file reason instead of failing the
+// merge. Inspect is the
 // triage tool under both: it classifies a journal as clean, torn-tail,
 // or corrupt without rewriting a byte.
 
@@ -200,8 +201,9 @@ type MergeResult struct {
 //     them would splice incompatible experiments into one table.
 //   - Sharded journals must agree on the shard count, and indexes must
 //     be in range; disagreement is a hard error for the same reason.
-//     Duplicate indexes are fine — a work-stealing journal covers the
-//     same slice as its victim, and dedup makes the overlap harmless.
+//     Duplicate indexes are fine — a shard re-run into a second journal
+//     covers the same slice as the first, and dedup makes the overlap
+//     harmless.
 //   - A journal that is unreadable, not a checkpoint, from another
 //     format version, or corrupt beyond a torn tail is quarantined with
 //     a per-file reason rather than failing the merge; a torn tail

@@ -173,9 +173,9 @@ func TestMergeCheckpointsFirstRecordWins(t *testing.T) {
 		CellRecord{Stage: StageProbe, Key: "a", Observed: map[string]float64{"v": 1}},
 		CellRecord{Stage: StageCell, Key: "x|8"},
 	)
-	// A stealer journal covering the same slice: duplicate records plus
-	// one the victim never reached.
-	writeJournal(t, dir, "shard0-steal.ckpt", ShardTag(base, ShardSpec{0, 2, "shard0"}),
+	// A second journal of the same slice, as a by-hand re-run into a new
+	// file leaves: duplicate records plus one the first never reached.
+	writeJournal(t, dir, "shard0-rerun.ckpt", ShardTag(base, ShardSpec{0, 2, "shard0"}),
 		CellRecord{Stage: StageProbe, Key: "a", Observed: map[string]float64{"v": 1}},
 		CellRecord{Stage: StageCell, Key: "y|8"},
 	)

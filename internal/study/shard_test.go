@@ -56,7 +56,7 @@ func shardOpts(dir string, index, count int) Options {
 // shard workers each observe half the grid into their own journals, and
 // the merge run reconstructs results deeply identical to a clean
 // single-process run — without re-executing a single journaled cell.
-// Then the chaos variants: a stealer journal duplicating half of shard0
+// Then the chaos variants: a second journal duplicating shard0's slice
 // must dedup harmlessly, and a mid-file-corrupted shard journal must be
 // quarantined by name while the merge recomputes its units to the same
 // bits.
@@ -95,26 +95,26 @@ func TestShardedStudyMergesBitIdentical(t *testing.T) {
 		t.Fatalf("clean merge reported quarantined=%v missing=%v", mres.Quarantined, mres.MissingShards)
 	}
 
-	// A work stealer's journal: same slice identity, overlapping records.
-	// First-record-wins dedup must make the duplication invisible.
+	// A re-run shard's second journal: same slice identity, overlapping
+	// records. First-record-wins dedup must make the duplication invisible.
 	src, err := os.ReadFile(filepath.Join(dir, "shard0.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "shard0-steal.ckpt"), src, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "shard0-rerun.ckpt"), src, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sres, err := Run(merged)
 	if err != nil {
-		t.Fatalf("merge with stealer journal: %v", err)
+		t.Fatalf("merge with duplicate journal: %v", err)
 	}
 	assertSameResults(t, clean, sres)
 
 	// Corrupt shard0's journal mid-file (records stranded beyond the bad
-	// line) and drop the stealer copy: the merge must quarantine it by
+	// line) and drop the duplicate copy: the merge must quarantine it by
 	// name, report slice 0 missing, recompute its units, and still land
 	// on the same bits.
-	if err := os.Remove(filepath.Join(dir, "shard0-steal.ckpt")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "shard0-rerun.ckpt")); err != nil {
 		t.Fatal(err)
 	}
 	corrupt := corruptMidFile(t, filepath.Join(dir, "shard0.ckpt"))
@@ -242,5 +242,12 @@ func TestCheckpointDirOptionConflicts(t *testing.T) {
 	o.Shard = Shard{Index: 0, Count: 2}
 	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "merge run") {
 		t.Fatalf("dir+shard = %v", err)
+	}
+
+	// A shard without a journal would run its slice and drop it.
+	o = chaosSlice()
+	o.Shard = Shard{Index: 0, Count: 2}
+	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "needs a CheckpointPath") {
+		t.Fatalf("shard without journal = %v", err)
 	}
 }

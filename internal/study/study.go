@@ -224,21 +224,15 @@ type Options struct {
 // u % Count == Index. The shard identity is folded into the checkpoint
 // options tag, so a shard journal can never be resumed into — or merged
 // as — the wrong slice. A sharded run stops after observation (stages 1
-// and 2): predictions and the balanced rating belong to the merge run,
-// which computes them from the merged journals.
+// and 2) and so needs a CheckpointPath: predictions and the balanced
+// rating belong to the merge run, which computes them from the merged
+// journals.
 type Shard struct {
 	Index int
 	Count int
 	// Name labels this shard's journal, span log, and manifest; empty
 	// defaults to "shard<Index>".
 	Name string
-	// Tail reverses the order this worker *processes* its cells (paper
-	// order is preserved everywhere in the results). A work stealer runs
-	// the victim's slice tail-first, so the two processes converge on
-	// the middle instead of re-doing the same prefix. Tail is not part
-	// of the options tag: processing order never changes what a record
-	// holds.
-	Tail bool
 }
 
 // Enabled reports whether the spec names a real slice.
@@ -254,7 +248,7 @@ func (s Shard) Label() string {
 
 func (s Shard) validate() error {
 	switch {
-	case s.Count == 0 && s.Index == 0 && s.Name == "" && !s.Tail:
+	case s.Count == 0 && s.Index == 0 && s.Name == "":
 		return nil // zero value: sharding off
 	case s.Count < 2:
 		return fmt.Errorf("study: shard count %d, want at least 2", s.Count)
@@ -277,7 +271,9 @@ func (s Shard) spec() persist.ShardSpec {
 	return persist.ShardSpec{Index: s.Index, Count: s.Count, Name: s.Label()}
 }
 
-func (o Options) wantsApp(id string) bool {
+// WantsApp reports whether test case id is inside the Apps filter
+// (every test case when Apps is empty).
+func (o Options) WantsApp(id string) bool {
 	if len(o.Apps) == 0 {
 		return true
 	}
@@ -438,6 +434,11 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		if opts.Shard.Enabled() {
 			return nil, fmt.Errorf("study: a sharded run journals one slice (CheckpointPath); merging a CheckpointDir is the unsharded merge run's job")
 		}
+	}
+	if opts.Shard.Enabled() && opts.CheckpointPath == "" {
+		// A shard stops before predictions: its journal is its only
+		// product, so without one the slice's work would be thrown away.
+		return nil, fmt.Errorf("study: a sharded run needs a CheckpointPath to journal its slice into")
 	}
 	ctx = opts.Obs.Inject(ctx)
 	ctx = opts.Faults.Inject(ctx)
@@ -603,7 +604,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	}
 	var cellJobs []cellJob
 	for _, tc := range apps.Registry() {
-		if !opts.wantsApp(tc.ID()) {
+		if !opts.WantsApp(tc.ID()) {
 			continue
 		}
 		for _, procs := range tc.CPUCounts {
@@ -627,19 +628,12 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		}
 	}
 	// order maps pool-job position to cell index: a shard worker runs
-	// only its owned slice, and a work stealer (Shard.Tail) walks that
-	// slice back to front so victim and stealer meet in the middle
-	// instead of re-doing the same prefix. Results stay in paper order
-	// regardless — slots are indexed by cell, not by processing position.
+	// only its owned slice. Results stay in paper order regardless —
+	// slots are indexed by cell, not by processing position.
 	var order []int
 	for i := range cellJobs {
 		if opts.Shard.owns(i) {
 			order = append(order, i)
-		}
-	}
-	if opts.Shard.Tail {
-		for a, b := 0, len(order)-1; a < b; a, b = a+1, b-1 {
-			order[a], order[b] = order[b], order[a]
 		}
 	}
 	slots := make([]cellOut, len(cellJobs))
