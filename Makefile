@@ -3,13 +3,20 @@
 
 GO ?= go
 
-.PHONY: build test race race-full lint lint-fixtures bench bench-study trace-smoke chaos shards-smoke predictd-smoke profile fmt
+.PHONY: build test perfbench-test race race-full lint lint-fixtures bench bench-study trace-smoke chaos shards-smoke predictd-smoke profile fmt
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench-test runs the tests of the nested benchmark module, which the
+# root `go test ./...` does not reach. Among them are the guards that the
+# benchmark's probe replay and stream kernel still compute exactly what
+# probes.MeasureContext and memsim.SimulateStream do.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # race runs the -short suite under the race detector: the 2-machine x
 # 2-application study slice plus every unit test, which exercises the

@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"hpcmetrics/internal/access"
 )
 
 // CacheLevel describes one level of a set-associative cache.
@@ -45,6 +47,9 @@ func (c CacheLevel) Validate() error {
 		return fmt.Errorf("cache %s: non-positive size %d", c.Name, c.SizeBytes)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache %s: line size %d not a positive power of two", c.Name, c.LineBytes)
+	case c.LineBytes < access.ElemBytes:
+		// memsim's packed way encoding relies on this bound.
+		return fmt.Errorf("cache %s: line size %d smaller than a %d-byte element", c.Name, c.LineBytes, access.ElemBytes)
 	case c.SizeBytes%c.LineBytes != 0:
 		return fmt.Errorf("cache %s: size %d not a multiple of line %d", c.Name, c.SizeBytes, c.LineBytes)
 	case c.Assoc < 0:

@@ -136,6 +136,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"no caches", func(c *Config) { c.Caches = nil }},
 		{"shrinking caches", func(c *Config) { c.Caches[1].SizeBytes = c.Caches[0].SizeBytes }},
 		{"bad line", func(c *Config) { c.Caches[0].LineBytes = 48 }},
+		{"line below element", func(c *Config) { c.Caches[0].LineBytes = 4 }},
 		{"bad net latency", func(c *Config) { c.Net.LatencyUs = 0 }},
 		{"bad net bw", func(c *Config) { c.Net.BandwidthMBs = -1 }},
 		{"no nics", func(c *Config) { c.Net.NICsPerNode = 0 }},

@@ -18,6 +18,12 @@
 // application executor and the synthetic memory probes (STREAM, GUPS,
 // MAPS) run on it, so observed times and probe rates are self-consistent,
 // as they are on real hardware.
+//
+// Simulating and pricing are separate steps: Simulate runs a stream and
+// Timing prices the counters it left, as often as needed. ENHANCED MAPS
+// uses this — it is the MAPS sweep's simulation priced a second time,
+// with TimingOpts.MLPCap at the dependent-chain cap and an FP-latency
+// chain added per element by the probe.
 package memsim
 
 import (
@@ -26,17 +32,23 @@ import (
 	"hpcmetrics/internal/machine"
 )
 
-// cacheSet holds the lines of one set in MRU-first order.
-type cacheSet struct {
-	tags  []uint64
-	dirty []bool
-}
+// A cache level keeps every set's ways in one flat slice, set after set,
+// each set in MRU-first order. A way holds line<<2 | validBit, plus
+// dirtyBit when the line was stored to. Empty ways are zero and sit at the
+// tail of their set, so a lookup stops at the first one. Zero can never
+// alias a filled way because every filled way carries validBit, and
+// line<<2 cannot overflow because machine.Validate rejects lines smaller
+// than access.ElemBytes, so line < 2^61.
+const (
+	dirtyBit uint64 = 1
+	validBit uint64 = 2
+)
 
 type cacheLevel struct {
 	cfg      machine.CacheLevel
-	sets     []cacheSet
+	ways     []uint64 // nSets × assoc entries
 	setMask  uint64
-	ways     int
+	assoc    int
 	lineShft uint
 }
 
@@ -80,12 +92,12 @@ func New(cfg *machine.Config) (*Simulator, error) {
 	}
 	s := &Simulator{cfg: cfg}
 	for _, lc := range cfg.Caches {
-		lvl := &cacheLevel{cfg: lc, ways: lc.Assoc}
-		if lvl.ways <= 0 {
-			lvl.ways = int(lc.SizeBytes / lc.LineBytes) // fully associative
+		lvl := &cacheLevel{cfg: lc, assoc: lc.Assoc}
+		if lvl.assoc <= 0 {
+			lvl.assoc = int(lc.SizeBytes / lc.LineBytes) // fully associative
 		}
-		nSets := lc.SizeBytes / (lc.LineBytes * int64(lvl.ways))
-		lvl.sets = make([]cacheSet, nSets)
+		nSets := lc.SizeBytes / (lc.LineBytes * int64(lvl.assoc))
+		lvl.ways = make([]uint64, nSets*int64(lvl.assoc))
 		lvl.setMask = uint64(nSets - 1)
 		for b := lc.LineBytes; b > 1; b >>= 1 {
 			lvl.lineShft++
@@ -110,10 +122,7 @@ func newStats(levels int) Stats {
 // Reset clears cache contents, prefetcher state, TLB, and statistics.
 func (s *Simulator) Reset() {
 	for _, lvl := range s.levels {
-		for i := range lvl.sets {
-			lvl.sets[i].tags = lvl.sets[i].tags[:0]
-			lvl.sets[i].dirty = lvl.sets[i].dirty[:0]
-		}
+		clear(lvl.ways)
 	}
 	s.pf.reset()
 	if s.tlb != nil {
@@ -122,40 +131,48 @@ func (s *Simulator) Reset() {
 	s.stats = newStats(len(s.levels))
 }
 
+// set returns the ways of the set holding line.
+func (l *cacheLevel) set(line uint64) []uint64 {
+	base := int(line&l.setMask) * l.assoc
+	return l.ways[base : base+l.assoc : base+l.assoc]
+}
+
 // lookup probes one level; on hit the line moves to MRU position and dirty
 // is ORed with store.
 func (l *cacheLevel) lookup(addr uint64, store bool) bool {
 	line := addr >> l.lineShft
-	set := &l.sets[line&l.setMask]
-	for i, tag := range set.tags {
-		if tag == line {
-			d := set.dirty[i] || store
-			// Move to front (MRU).
-			copy(set.tags[1:i+1], set.tags[:i])
-			copy(set.dirty[1:i+1], set.dirty[:i])
-			set.tags[0], set.dirty[0] = line, d
+	set := l.set(line)
+	want := line<<2 | validBit
+	for i, w := range set {
+		if w&^dirtyBit == want {
+			if store {
+				w |= dirtyBit
+			}
+			if i > 0 {
+				copy(set[1:i+1], set[:i]) // move to front (MRU)
+			}
+			set[0] = w
 			return true
+		}
+		if w == 0 {
+			return false
 		}
 	}
 	return false
 }
 
 // fill inserts the line at MRU, evicting the LRU line if the set is full.
-// It reports whether a dirty line was evicted.
+// It reports whether a dirty line was evicted. The caller has just missed
+// the line at this level, so the set does not hold it.
 func (l *cacheLevel) fill(addr uint64, store bool) (evictedDirty bool) {
 	line := addr >> l.lineShft
-	set := &l.sets[line&l.setMask]
-	if len(set.tags) >= l.ways {
-		last := len(set.tags) - 1
-		evictedDirty = set.dirty[last]
-		set.tags = set.tags[:last]
-		set.dirty = set.dirty[:last]
+	set := l.set(line)
+	evictedDirty = set[len(set)-1]&dirtyBit != 0
+	copy(set[1:], set[:len(set)-1])
+	set[0] = line<<2 | validBit
+	if store {
+		set[0] |= dirtyBit
 	}
-	set.tags = append(set.tags, 0)
-	set.dirty = append(set.dirty, false)
-	copy(set.tags[1:], set.tags)
-	copy(set.dirty[1:], set.dirty)
-	set.tags[0], set.dirty[0] = line, store
 	return evictedDirty
 }
 

@@ -143,18 +143,19 @@ func (s *Simulator) RunStream(spec access.StreamSpec, n int, opts TimingOpts) (T
 	return s.Timing(opts), nil
 }
 
-// SimulateStream is the one-shot convenience: fresh simulator, a warm-up
-// quarter of the stream to reach steady state (discarded from the
-// statistics, as in the real probes' untimed first pass), then n priced
-// references.
-func SimulateStream(cfg *machine.Config, spec access.StreamSpec, n int, opts TimingOpts) (Timing, error) {
+// Simulate is the one-shot run: a fresh simulator, a warm-up quarter of
+// the stream to reach steady state (discarded from the statistics, as in
+// the real probes' untimed first pass), then n references. The returned
+// simulator holds their statistics; Timing prices them, and may be called
+// more than once with different options.
+func Simulate(cfg *machine.Config, spec access.StreamSpec, n int) (*Simulator, error) {
 	sim, err := New(cfg)
 	if err != nil {
-		return Timing{}, err
+		return nil, err
 	}
 	stream, err := access.NewStream(spec)
 	if err != nil {
-		return Timing{}, err
+		return nil, err
 	}
 	for i := 0; i < n/4; i++ {
 		ref := stream.Next()
@@ -164,6 +165,15 @@ func SimulateStream(cfg *machine.Config, spec access.StreamSpec, n int, opts Tim
 	for i := 0; i < n; i++ {
 		ref := stream.Next()
 		sim.Access(ref.Addr, ref.Store)
+	}
+	return sim, nil
+}
+
+// SimulateStream is Simulate priced once under opts.
+func SimulateStream(cfg *machine.Config, spec access.StreamSpec, n int, opts TimingOpts) (Timing, error) {
+	sim, err := Simulate(cfg, spec, n)
+	if err != nil {
+		return Timing{}, err
 	}
 	return sim.Timing(opts), nil
 }

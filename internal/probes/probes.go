@@ -14,6 +14,11 @@
 //   - ENHANCED MAPS: the same sweep with a data dependence induced in the
 //     inner loop — each element feeds a serial FP chain and misses cannot
 //     overlap — measuring the machine's dependency-limited memory rates.
+//     The dependence changes how references are priced, not which
+//     references run, so it is the same simulated sweep as MAPS, priced
+//     with memory-level parallelism capped at simexec.DependentMLP plus one
+//     FP latency per element: each (kind, size) point is simulated once
+//     per probe suite and yields both curves.
 //   - NETBENCH: ping-pong latency and bandwidth plus a reference
 //     allreduce, from the interconnect model.
 package probes
@@ -204,55 +209,62 @@ const (
 // MAPS measures references/second at each working-set size. With dependent
 // true it induces a serial data dependence in the inner loop (ENHANCED
 // MAPS): misses cannot overlap and every element feeds an FP-latency
-// chain.
+// chain. Both variants come from the same simulated sweep; see mapsSweep.
 func MAPS(cfg *machine.Config, kind MAPSKind, sizes []int64, dependent bool) (Curve, error) {
+	plain, dep, err := mapsSweep(cfg, kind, sizes)
+	if err != nil {
+		return Curve{}, err
+	}
+	if dependent {
+		return dep, dep.Validate()
+	}
+	return plain, plain.Validate()
+}
+
+// mapsSweep simulates each working-set size of a MAPS sweep once and
+// prices it twice: plain, as MAPS, and as ENHANCED MAPS. The dependence
+// does not change the reference stream, only its price — memory-level
+// parallelism capped at simexec.DependentMLP, plus one FP latency per
+// element for the serial chain each element feeds. The curves are not
+// validated.
+func mapsSweep(cfg *machine.Config, kind MAPSKind, sizes []int64) (plain, dep Curve, err error) {
+	var mix access.Mix
+	switch kind {
+	case MAPSUnitStride:
+		mix = access.Mix{Unit: 1}
+	case MAPSRandomStride:
+		mix = access.Mix{Random: 1}
+	default:
+		return Curve{}, Curve{}, fmt.Errorf("probes: unknown MAPS kind %d", kind)
+	}
 	if len(sizes) == 0 {
 		sizes = MAPSSizes
 	}
-	curve := Curve{SizesBytes: append([]int64(nil), sizes...)}
+	plain.SizesBytes = append([]int64(nil), sizes...)
+	dep.SizesBytes = append([]int64(nil), sizes...)
+	hz := cfg.ClockGHz * 1e9
 	for _, ws := range sizes {
-		rate, err := mapsPoint(cfg, kind, ws, dependent)
-		if err != nil {
-			return Curve{}, err
+		spec := access.StreamSpec{
+			WorkingSetBytes: ws,
+			Mix:             mix,
+			StoreFraction:   0.25,
+			Seed:            0x3A95 ^ uint64(ws),
 		}
-		curve.RefsPerSec = append(curve.RefsPerSec, rate)
+		sim, err := memsim.Simulate(cfg, spec, simexec.SampleSize(spec))
+		if err != nil {
+			return Curve{}, Curve{}, err
+		}
+		t := sim.Timing(memsim.TimingOpts{})
+		d := sim.Timing(memsim.TimingOpts{MLPCap: simexec.DependentMLP})
+		seconds := t.Cycles / hz
+		depSeconds := (d.Cycles + float64(d.Refs)*cfg.FPLatencyCycles) / hz
+		if seconds == 0 || depSeconds == 0 {
+			return Curve{}, Curve{}, fmt.Errorf("probes: MAPS point %d measured zero time", ws)
+		}
+		plain.RefsPerSec = append(plain.RefsPerSec, float64(t.Refs)/seconds)
+		dep.RefsPerSec = append(dep.RefsPerSec, float64(d.Refs)/depSeconds)
 	}
-	return curve, curve.Validate()
-}
-
-func mapsPoint(cfg *machine.Config, kind MAPSKind, ws int64, dependent bool) (float64, error) {
-	spec := access.StreamSpec{
-		WorkingSetBytes: ws,
-		StoreFraction:   0.25,
-		Seed:            0x3A95 ^ uint64(ws),
-	}
-	switch kind {
-	case MAPSUnitStride:
-		spec.Mix = access.Mix{Unit: 1}
-	case MAPSRandomStride:
-		spec.Mix = access.Mix{Random: 1}
-	default:
-		return 0, fmt.Errorf("probes: unknown MAPS kind %d", kind)
-	}
-	opts := memsim.TimingOpts{}
-	if dependent {
-		opts.MLPCap = simexec.DependentMLP
-	}
-	t, err := memsim.SimulateStream(cfg, spec, simexec.SampleSize(spec), opts)
-	if err != nil {
-		return 0, err
-	}
-	cycles := t.Cycles
-	if dependent {
-		// Each element feeds a dependent FP operation that cannot retire
-		// before the load and cannot overlap the next element.
-		cycles += float64(t.Refs) * cfg.FPLatencyCycles
-	}
-	seconds := cycles / (cfg.ClockGHz * 1e9)
-	if seconds == 0 {
-		return 0, fmt.Errorf("probes: MAPS point %d measured zero time", ws)
-	}
-	return float64(t.Refs) / seconds, nil
+	return plain, dep, nil
 }
 
 // Netbench measures ping-pong latency and bandwidth between two ranks and
@@ -298,6 +310,14 @@ func MeasureContext(ctx context.Context, cfg *machine.Config) (*Results, error) 
 	}
 	span.Annotate("machine", cfg.Name)
 	res := &Results{Machine: cfg.Name, OverlapFraction: cfg.MemOverlapFraction}
+	sweep := func(plain, dep *Curve, kind MAPSKind) func() error {
+		return func() (err error) {
+			if *plain, *dep, err = mapsSweep(cfg, kind, nil); err != nil {
+				return err
+			}
+			return plain.Validate()
+		}
+	}
 
 	steps := []struct {
 		name string
@@ -306,10 +326,12 @@ func MeasureContext(ctx context.Context, cfg *machine.Config) (*Results, error) 
 		{"hpl", func() (err error) { res.HPLFlopsPerSec, err = HPL(cfg); return err }},
 		{"stream", func() (err error) { res.StreamBytesPerSec, err = STREAM(cfg); return err }},
 		{"gups", func() (err error) { res.GUPSRefsPerSec, err = GUPS(cfg); return err }},
-		{"maps-unit", func() (err error) { res.MAPSUnit, err = MAPS(cfg, MAPSUnitStride, nil, false); return err }},
-		{"maps-random", func() (err error) { res.MAPSRandom, err = MAPS(cfg, MAPSRandomStride, nil, false); return err }},
-		{"dep-unit", func() (err error) { res.DepUnit, err = MAPS(cfg, MAPSUnitStride, nil, true); return err }},
-		{"dep-random", func() (err error) { res.DepRandom, err = MAPS(cfg, MAPSRandomStride, nil, true); return err }},
+		// Each maps step simulates its sweep once and fills both the MAPS
+		// and the ENHANCED MAPS curve; the dep steps validate the latter.
+		{"maps-unit", sweep(&res.MAPSUnit, &res.DepUnit, MAPSUnitStride)},
+		{"maps-random", sweep(&res.MAPSRandom, &res.DepRandom, MAPSRandomStride)},
+		{"dep-unit", func() error { return res.DepUnit.Validate() }},
+		{"dep-random", func() error { return res.DepRandom.Validate() }},
 		{"netbench", func() (err error) { res.Net, err = Netbench(cfg); return err }},
 	}
 	for _, step := range steps {

@@ -1,11 +1,18 @@
 package probes
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"hpcmetrics/internal/access"
+	"hpcmetrics/internal/faults"
 	"hpcmetrics/internal/machine"
+	"hpcmetrics/internal/memsim"
+	"hpcmetrics/internal/simexec"
 )
 
 func TestCurveAt(t *testing.T) {
@@ -276,5 +283,115 @@ func TestFigure1Shape(t *testing.T) {
 		opteron.RefsPerSec[last] > altix.RefsPerSec[last]) {
 		t.Errorf("Opteron memory rate %g not best (p655 %g, altix %g)",
 			opteron.RefsPerSec[last], p655.RefsPerSec[last], altix.RefsPerSec[last])
+	}
+}
+
+// referenceMAPSPoint prices one MAPS point the way the probes did before
+// MAPS and ENHANCED MAPS shared a sweep: a separate simulation per
+// variant, priced once.
+func referenceMAPSPoint(cfg *machine.Config, kind MAPSKind, ws int64, dependent bool) (float64, error) {
+	spec := access.StreamSpec{
+		WorkingSetBytes: ws,
+		StoreFraction:   0.25,
+		Seed:            0x3A95 ^ uint64(ws),
+	}
+	switch kind {
+	case MAPSUnitStride:
+		spec.Mix = access.Mix{Unit: 1}
+	case MAPSRandomStride:
+		spec.Mix = access.Mix{Random: 1}
+	}
+	opts := memsim.TimingOpts{}
+	if dependent {
+		opts.MLPCap = simexec.DependentMLP
+	}
+	t, err := memsim.SimulateStream(cfg, spec, simexec.SampleSize(spec), opts)
+	if err != nil {
+		return 0, err
+	}
+	cycles := t.Cycles
+	if dependent {
+		cycles += float64(t.Refs) * cfg.FPLatencyCycles
+	}
+	seconds := cycles / (cfg.ClockGHz * 1e9)
+	return float64(t.Refs) / seconds, nil
+}
+
+func sameCurve(a, b Curve) bool {
+	if len(a.SizesBytes) != len(b.SizesBytes) || len(a.RefsPerSec) != len(b.RefsPerSec) {
+		return false
+	}
+	for i := range a.SizesBytes {
+		if a.SizesBytes[i] != b.SizesBytes[i] || math.Float64bits(a.RefsPerSec[i]) != math.Float64bits(b.RefsPerSec[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMeasureCurvesMatchMAPS: on every preset, the four curves of a probe
+// suite, which share one simulation per (kind, size), are bit-identical
+// to the stand-alone MAPS sweeps. On the 128-way-L1 and direct-mapped-L2
+// presets they are also bit-identical to pricing a separate simulation
+// per variant.
+func TestMeasureCurvesMatchMAPS(t *testing.T) {
+	separate := map[string]bool{machine.MHPCCPower3: true, machine.ASCSC45: true}
+	names := machine.Names()
+	if testing.Short() {
+		names = []string{machine.MHPCCPower3, machine.ASCSC45}
+	}
+	for _, name := range names {
+		cfg := machine.MustPreset(name)
+		res, err := Measure(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			got       Curve
+			kind      MAPSKind
+			dependent bool
+		}{
+			{res.MAPSUnit, MAPSUnitStride, false},
+			{res.MAPSRandom, MAPSRandomStride, false},
+			{res.DepUnit, MAPSUnitStride, true},
+			{res.DepRandom, MAPSRandomStride, true},
+		} {
+			want, err := MAPS(cfg, c.kind, nil, c.dependent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCurve(c.got, want) {
+				t.Errorf("%s kind %d dependent %v: Measure %v, MAPS %v", name, c.kind, c.dependent, c.got.RefsPerSec, want.RefsPerSec)
+			}
+			if !separate[name] {
+				continue
+			}
+			for i, ws := range want.SizesBytes {
+				ref, err := referenceMAPSPoint(cfg, c.kind, ws, c.dependent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(want.RefsPerSec[i]) != math.Float64bits(ref) {
+					t.Errorf("%s kind %d dependent %v at %d: shared sweep %v, separate simulation %v",
+						name, c.kind, c.dependent, ws, want.RefsPerSec[i], ref)
+				}
+			}
+		}
+	}
+}
+
+// TestDepStepStillInjectable: the ENHANCED MAPS steps no longer simulate
+// anything of their own, but a fault rule naming one still fails the
+// suite with the injected error.
+func TestDepStepStillInjectable(t *testing.T) {
+	for _, step := range []string{"dep-unit", "dep-random"} {
+		in := faults.New(1, faults.Rule{Point: faults.PointProbeStep, Kind: faults.Permanent, Rate: 1, Match: step})
+		_, err := MeasureContext(in.Inject(context.Background()), machine.MustPreset(machine.ARLOpteron))
+		if !errors.Is(err, faults.ErrPermanent) {
+			t.Fatalf("%s rule: MeasureContext error %v, want the injected permanent fault", step, err)
+		}
+		if !strings.Contains(err.Error(), step) {
+			t.Errorf("%s rule: error %q does not name the step", step, err)
+		}
 	}
 }
