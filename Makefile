@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test perfbench-test race race-full lint lint-fixtures bench bench-study trace-smoke chaos shards-smoke predictd-smoke profile fmt
+.PHONY: build test perfbench-test race race-full lint lint-fixtures lint-budget bench trace-smoke chaos predictd-smoke profile fmt
 
 build:
 	$(GO) build ./...
@@ -54,19 +54,19 @@ lint:
 lint-fixtures:
 	$(GO) test ./internal/analysis/...
 
+# lint-budget is the analyzer-cost gate: one timed module-wide hpclint
+# pass must take at most 2x the hpclint_seconds recorded in
+# BENCH_baseline.json. It runs alone so nothing contends with the timing.
+lint-budget:
+	$(GO) test -count=1 -run '^TestHpclintModuleBudget$$' ./internal/analysis -lint-baseline ../../BENCH_baseline.json
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
-# bench-study times sequential vs parallel study.Run on the -short slice
-# and writes BENCH_study.json (the CI benchmark smoke artifact).
-bench-study:
-	$(GO) run ./cmd/benchstudy -out BENCH_study.json
 
 # trace-smoke runs a traced 1-app study slice and validates the
 # observability artifacts: the span log must parse and cover every phase,
 # and the run manifest must be complete (cmd/tracecheck). The per-phase
-# aggregates land in trace-smoke-out/phases.csv; CI uploads the directory
-# alongside BENCH_study.json.
+# aggregates land in trace-smoke-out/phases.csv; CI uploads the directory.
 trace-smoke:
 	mkdir -p trace-smoke-out
 	$(GO) run ./cmd/metricstudy -quiet -csv -only phases \
@@ -103,42 +103,6 @@ chaos:
 		-prom chaos-out/metrics.prom \
 		> chaos-out/tables.csv
 	$(GO) run ./cmd/tracecheck chaos-out/spans.jsonl chaos-out/manifest.json chaos-out/metrics.prom
-
-# shards-smoke runs the sharded study by hand, as an operator would.
-# First the subprocess CLI suite (hand-run shards + merge, bad
-# invocations, journal triage); then into shards-smoke-out/: three
-# traced shard runs of one slice, a -checkpoint-dir merge whose Table 4
-# must be byte-identical to a sequential run of the same slice,
-# tracecheck -shards over the shards' span logs, and -checkpoint-info on
-# one journal. CI uploads the directory (journals, span logs, manifests,
-# both Table 4 CSVs, the triage report) as an artifact.
-shards-smoke:
-	$(GO) test -timeout 30m \
-		-run 'TestHandRunShardsMerge|TestRejectsBadInvocations|TestCheckpointInfo' \
-		./cmd/metricstudy
-	rm -rf shards-smoke-out
-	mkdir -p shards-smoke-out
-	$(GO) build -o shards-smoke-out/metricstudy ./cmd/metricstudy
-	./shards-smoke-out/metricstudy -quiet -csv -only table4 \
-		-apps avus-standard -targets ARL_Opteron,MHPCC_P3 \
-		> shards-smoke-out/table4-sequential.csv
-	for i in 0 1 2; do \
-		./shards-smoke-out/metricstudy -quiet -trace \
-			-apps avus-standard -targets ARL_Opteron,MHPCC_P3 \
-			-shard-index $$i -shard-count 3 \
-			-checkpoint shards-smoke-out/shard$$i.ckpt \
-			-spans shards-smoke-out/shard$$i.spans.jsonl \
-			-manifest shards-smoke-out/shard$$i.manifest.json || exit 1; \
-	done
-	./shards-smoke-out/metricstudy -quiet -csv -only table4 \
-		-apps avus-standard -targets ARL_Opteron,MHPCC_P3 \
-		-checkpoint-dir shards-smoke-out \
-		> shards-smoke-out/table4-merged.csv
-	cmp shards-smoke-out/table4-sequential.csv shards-smoke-out/table4-merged.csv
-	$(GO) run ./cmd/tracecheck -shards shards-smoke-out
-	./shards-smoke-out/metricstudy -checkpoint-info shards-smoke-out/shard0.ckpt \
-		> shards-smoke-out/shard0-info.txt
-	grep -q 'status: clean' shards-smoke-out/shard0-info.txt
 
 # predictd-smoke boots the prediction server on an ephemeral port with
 # span + access logs enabled, waits for the -ready-file handshake, and

@@ -15,13 +15,7 @@
 // -checkpoint journals completed work so a cancelled or crashed study
 // can be re-run with -resume and pick up where it left off; -faults and
 // -fault-seed arm the deterministic chaos injector (internal/faults).
-//
-// Sharded runs (see README "Distributed runs"): -shard-count with
-// -shard-index runs one tagged slice of the grid into its own -checkpoint
-// journal and prints no tables; -checkpoint-dir merges a directory of
-// shard journals (quarantining corrupt ones) and finishes the study from
-// them. The shards are started by hand, on one machine or several.
-// -checkpoint-info triages any journal without touching it.
+// -checkpoint-info triages a journal without touching it.
 //
 // Usage:
 //
@@ -32,9 +26,6 @@
 //	            [-faults rules] [-fault-seed n]
 //	            [-trace] [-spans f.jsonl] [-manifest f.json] [-prom f.txt]
 //	            [-cpuprofile f] [-memprofile f] [-tracefile f]
-//	metricstudy -shard-index i -shard-count n [-shard-name s]
-//	            -checkpoint f.ckpt [-resume] [...]
-//	metricstudy -checkpoint-dir dir [...]
 //	metricstudy -checkpoint-info f.ckpt
 package main
 
@@ -104,10 +95,6 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume from an existing -checkpoint journal instead of starting fresh")
 	faultsSpec := flag.String("faults", "", "chaos fault rules, comma-separated kind:point:rate[:burst[:stall[:match]]]")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
-	shardIndex := flag.Int("shard-index", 0, "this worker's slice of the grid (with -shard-count)")
-	shardCount := flag.Int("shard-count", 0, "total shard count; > 1 runs only this worker's slice")
-	shardName := flag.String("shard-name", "", "label for this shard's journal, span log, and manifest (default shard<index>)")
-	checkpointDir := flag.String("checkpoint-dir", "", "merge a directory of shard journals and finish the study from them")
 	checkpointInfo := flag.String("checkpoint-info", "", "inspect a checkpoint journal (version, tag, records, last unit, integrity) and exit")
 	flag.Parse()
 
@@ -156,14 +143,10 @@ func run() error {
 		MaxAttempts:    *maxAttempts,
 		CellTimeout:    *cellTimeout,
 		CheckpointPath: *checkpoint,
-		CheckpointDir:  *checkpointDir,
 		Resume:         *resume,
 	}
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
-	}
-	if *shardCount > 0 {
-		opts.Shard = study.Shard{Index: *shardIndex, Count: *shardCount, Name: *shardName}
 	}
 	if *faultsSpec != "" {
 		rules, err := hpcmetrics.ParseFaultRules(*faultsSpec)
@@ -192,12 +175,6 @@ func run() error {
 	}
 	if *traceOn {
 		opts.Obs = obs.New()
-		if opts.Shard.Enabled() {
-			// A shard worker stamps its spans and offsets its span IDs
-			// into its shard index's slot so the shards' logs concatenate
-			// without collisions.
-			opts.Obs.Tracer.SetShard(opts.Shard.Label(), opts.Shard.Index)
-		}
 	}
 
 	// A signal-cancelled root: ^C or SIGTERM cancels the study's worker
@@ -210,15 +187,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Quarantined shard journals and uncovered slices are routed around
-	// (their units recomputed), but the operator must hear about them —
-	// even under -quiet.
-	for _, q := range res.Quarantined {
-		fmt.Fprintf(os.Stderr, "metricstudy: quarantined shard journal %s: %s\n", q.Path, q.Reason)
-	}
-	if len(res.MissingShards) > 0 {
-		fmt.Fprintf(os.Stderr, "metricstudy: no journal covered shard slice(s) %v; their units were recomputed\n", res.MissingShards)
-	}
 
 	emit := func(t *hpcmetrics.ReportTable) {
 		if *csv {
@@ -227,9 +195,7 @@ func run() error {
 			fmt.Println(t.String())
 		}
 	}
-	// A shard holds only its slice's observations: every table would be
-	// partial, so it prints none and its journal is the product.
-	section := func(name string) bool { return !opts.Shard.Enabled() && (*only == "" || *only == name) }
+	section := func(name string) bool { return *only == "" || *only == name }
 
 	if section("probes") {
 		emit(hpcmetrics.ProbeTable(res))
@@ -332,10 +298,7 @@ func printCheckpointInfo(path string) error {
 	}
 	fmt.Printf("checkpoint: %s\n", info.Path)
 	fmt.Printf("format: %s, version %d\n", info.Format, info.Version)
-	fmt.Printf("options tag: %s\n", info.BaseTag)
-	if info.Sharded {
-		fmt.Printf("shard: %s\n", info.Shard)
-	}
+	fmt.Printf("options tag: %s\n", info.Tag)
 	fmt.Printf("records: %d (%d probes, %d cells)\n", info.Records, info.Probes, info.Cells)
 	if info.LastKey != "" {
 		fmt.Printf("last unit: %s\n", info.LastKey)
@@ -346,7 +309,7 @@ func printCheckpointInfo(path string) error {
 	case persist.JournalTornTail:
 		fmt.Printf("status: torn tail (undecodable line %d; a resume truncates it)\n", info.BadLine)
 	case persist.JournalCorrupt:
-		fmt.Printf("status: corrupt (bad record at line %d, %d intact records stranded after it; a merge quarantines this journal)\n",
+		fmt.Printf("status: corrupt (bad record at line %d, %d intact records stranded after it; a resume truncates the journal to its good prefix and recomputes them)\n",
 			info.BadLine, info.Stranded)
 	}
 	return nil
@@ -382,9 +345,6 @@ func exportObs(opts study.Options, spansPath, manifestPath, promPath, ablate str
 			"resume":       opts.Resume,
 			"chaos":        opts.Faults != nil,
 			"faults":       opts.Faults.Fingerprint(),
-		}
-		if opts.Shard.Enabled() {
-			m.Shard = opts.Shard.Label()
 		}
 		m.FaultPlan = opts.Faults.Fingerprint()
 		m.SpanFile = spansPath

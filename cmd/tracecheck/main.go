@@ -15,18 +15,10 @@
 // cache outcomes, which is how CI proves a smoke run exercised the
 // cold/cached/coalesced triple.
 //
-// With -shards it instead validates a distributed study's concatenated
-// multi-shard span log against the shard workers' manifests:
-// shard-prefixed span IDs must be globally unique, every span's shard
-// field must match a manifest, and parentage must never cross worker
-// processes. Arguments may be span logs (*.jsonl), manifests (*.json),
-// or directories (globbed for *.spans.jsonl and *.manifest.json).
-//
 // Usage:
 //
 //	tracecheck spans.jsonl manifest.json [metrics.prom]
 //	tracecheck -serve [-require-outcomes cold,cached,coalesced] spans.jsonl access.jsonl
-//	tracecheck -shards <dir | spans.jsonl | manifest.json>...
 package main
 
 import (
@@ -34,8 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -44,15 +34,12 @@ import (
 
 func main() {
 	serveMode := flag.Bool("serve", false, "validate a predictd span log + access log pair instead of study artifacts")
-	shardMode := flag.Bool("shards", false, "validate a distributed study's concatenated span logs against its shard manifests")
 	requireOutcomes := flag.String("require-outcomes", "", "comma-separated cache outcomes the serve logs must demonstrate (with -serve)")
 	flag.Parse()
 	var err error
 	switch {
 	case *serveMode:
 		err = runServe(flag.Args(), *requireOutcomes)
-	case *shardMode:
-		err = runShards(flag.Args())
 	default:
 		err = run()
 	}
@@ -60,89 +47,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(1)
 	}
-}
-
-// runShards validates a multi-shard span log set against its worker
-// manifests (obs.CheckShardedSpans). Directory arguments are globbed
-// for *.spans.jsonl and *.manifest.json.
-func runShards(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: tracecheck -shards <dir | spans.jsonl | manifest.json>...")
-	}
-	var spanPaths, manifestPaths []string
-	for _, arg := range args {
-		st, err := os.Stat(arg)
-		if err != nil {
-			return err
-		}
-		switch {
-		case st.IsDir():
-			sp, err := filepath.Glob(filepath.Join(arg, "*.spans.jsonl"))
-			if err != nil {
-				return err
-			}
-			mp, err := filepath.Glob(filepath.Join(arg, "*.manifest.json"))
-			if err != nil {
-				return err
-			}
-			sort.Strings(sp)
-			sort.Strings(mp)
-			spanPaths = append(spanPaths, sp...)
-			manifestPaths = append(manifestPaths, mp...)
-		case strings.HasSuffix(arg, ".jsonl"):
-			spanPaths = append(spanPaths, arg)
-		case strings.HasSuffix(arg, ".json"):
-			manifestPaths = append(manifestPaths, arg)
-		default:
-			return fmt.Errorf("%s: not a directory, span log (.jsonl), or manifest (.json)", arg)
-		}
-	}
-	if len(spanPaths) == 0 {
-		return fmt.Errorf("no span logs among the arguments")
-	}
-	if len(manifestPaths) == 0 {
-		return fmt.Errorf("no manifests among the arguments")
-	}
-
-	var spans []obs.SpanRecord
-	for _, path := range spanPaths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		recs, err := obs.ReadJSONL(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		spans = append(spans, recs...)
-	}
-	var manifests []obs.Manifest
-	for _, path := range manifestPaths {
-		m, err := obs.ReadManifest(path)
-		if err != nil {
-			return err
-		}
-		if err := m.Complete(); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		manifests = append(manifests, m)
-	}
-
-	stats, err := obs.CheckShardedSpans(spans, manifests)
-	if err != nil {
-		return err
-	}
-	var shards []string
-	for name, n := range stats.Shards {
-		shards = append(shards, fmt.Sprintf("%s:%d", name, n))
-	}
-	sort.Strings(shards)
-	fmt.Printf("tracecheck: %d spans across %d shards in %d process slots, parentage shard-local (%s)\n",
-		stats.Spans, len(stats.Shards), stats.Slots, strings.Join(shards, " "))
-	return nil
 }
 
 // runServe cross-validates a predictd span log against its access log.

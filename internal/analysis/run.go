@@ -44,8 +44,7 @@ type Result struct {
 	LoadErrors []PackageError
 	// IfaceSeconds is the wall time of the interface-implementor
 	// collection pre-pass, reported separately so the cost of
-	// devirtualization is visible in BenchmarkHpclintModule and
-	// BENCH_study.json.
+	// devirtualization is visible in BenchmarkHpclintModule.
 	IfaceSeconds float64
 }
 

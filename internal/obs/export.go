@@ -18,8 +18,7 @@ import (
 )
 
 // WriteJSONL writes one JSON object per finished span, in Records()
-// order. The format is line-delimited so a future sharded study can
-// concatenate span files from multiple processes.
+// order.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -257,12 +256,9 @@ type Manifest struct {
 	Seed        string         `json:"seed"`
 	Options     map[string]any `json:"options,omitempty"`
 	SpanFile    string         `json:"span_file,omitempty"`
-	// Shard names the shard worker that produced this manifest in a
-	// distributed study; FaultPlan is the campaign's fault-injection
-	// fingerprint (faults.Fingerprint()), so mixed-plan shard sets are
-	// detectable from manifests alone. Unsharded, fault-free runs omit
-	// both, keeping their manifests byte-identical to pre-sharding ones.
-	Shard     string `json:"shard,omitempty"`
+	// FaultPlan is the run's fault-injection fingerprint
+	// (faults.Fingerprint()), so a chaos run is identifiable from its
+	// manifest alone. Fault-free runs omit it.
 	FaultPlan string `json:"fault_plan,omitempty"`
 }
 

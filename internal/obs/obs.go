@@ -151,10 +151,6 @@ type SpanRecord struct {
 	DurNs int64 `json:"dur_ns"`
 	// Attrs holds the span's annotations, if any.
 	Attrs map[string]string `json:"attrs,omitempty"`
-	// Shard names the shard worker that produced the span in a
-	// distributed study (see Tracer.SetShard); unsharded runs omit it, so
-	// single-process span logs are byte-identical to pre-sharding ones.
-	Shard string `json:"shard,omitempty"`
 }
 
 // Span is one in-flight phase. Create with StartSpan, finish with End.
@@ -230,7 +226,6 @@ func (s *Span) End() {
 		Path:    s.path,
 		StartNs: s.startNs,
 		DurNs:   s.tracer.now() - s.startNs,
-		Shard:   s.tracer.shard,
 	}
 	s.mu.Lock()
 	rec.Attrs = s.attrs
@@ -250,12 +245,6 @@ func (s *Span) End() {
 type Tracer struct {
 	epoch time.Time
 	next  atomic.Uint64
-
-	// idBase and shard identify this tracer's process in a distributed
-	// study; both are set once by SetShard before any span starts and read
-	// without locks afterward.
-	idBase uint64
-	shard  string
 
 	sinkErrs atomic.Int64
 
@@ -281,23 +270,6 @@ func (Discard) WriteSpan(SpanRecord) error { return nil }
 // NewTracer returns a tracer whose timestamps count from now.
 func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now()}
-}
-
-// SetShard gives the tracer a distributed-study identity: every span it
-// produces carries the shard name, and span IDs are offset into slot's
-// private range ((slot+1) << 48 plus the local counter) so logs from any
-// number of shard processes concatenate without ID collisions — each
-// slot allows 2^48 spans, far beyond any run. The slot is the shard
-// index; nothing assigns fresh slots, so a shard re-run with -resume
-// reuses its slot and its span log should replace the earlier run's.
-// Call before the first span starts; nil receivers and negative slots
-// are no-ops.
-func (t *Tracer) SetShard(name string, slot int) {
-	if t == nil || slot < 0 {
-		return
-	}
-	t.idBase = (uint64(slot) + 1) << 48
-	t.shard = name
 }
 
 // SetSink switches the tracer to streaming mode: finished spans go to s
@@ -332,7 +304,7 @@ func (t *Tracer) now() int64 {
 func (t *Tracer) start(name string, parent *Span) *Span {
 	s := &Span{
 		tracer:  t,
-		id:      t.idBase + t.next.Add(1),
+		id:      t.next.Add(1),
 		name:    name,
 		path:    name,
 		startNs: t.now(),

@@ -81,29 +81,21 @@ type Checkpoint struct {
 	data    []byte         // guarded by mu; the serialized journal
 	records []CellRecord   // guarded by mu
 	index   map[string]int // guarded by mu; stage|key → records index
-	dropped int            // guarded by mu; torn/corrupt lines discarded on open
+	dropped int            // guarded by mu; 1 if open truncated a bad tail
 }
 
 // CreateCheckpoint starts a fresh journal at path, replacing any
 // existing file.
 func CreateCheckpoint(path, tag string) (*Checkpoint, error) {
-	data, err := encodeHeader(tag)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeAtomic(path, data); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return &Checkpoint{path: path, tag: tag, data: data, index: make(map[string]int)}, nil
-}
-
-// encodeHeader serializes the journal's header line.
-func encodeHeader(tag string) ([]byte, error) {
 	hdr, err := json.Marshal(checkpointHeader{Format: formatCheckpoint, Version: FormatVersion, Tag: tag})
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return append(hdr, '\n'), nil
+	data := append(hdr, '\n')
+	if err := writeAtomic(path, data); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	return &Checkpoint{path: path, tag: tag, data: data, index: make(map[string]int)}, nil
 }
 
 // journalScan is a parsed journal: the header, the trustworthy record
@@ -177,9 +169,17 @@ func OpenCheckpoint(path, tag string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("persist: checkpoint %s was written by a study with different options (tag %q, want %q)",
 			path, hdr.Tag, tag)
 	}
+	// First record wins, as in Append: a duplicate key (which Append
+	// never writes, but a hand-edited or concatenated journal may hold)
+	// is neither indexed nor counted.
 	index := make(map[string]int, len(scan.records))
-	for i, rec := range scan.records {
-		index[rec.Stage+"|"+rec.Key] = i
+	var records []CellRecord
+	for _, rec := range scan.records {
+		if _, dup := index[rec.Stage+"|"+rec.Key]; dup {
+			continue
+		}
+		index[rec.Stage+"|"+rec.Key] = len(records)
+		records = append(records, rec)
 	}
 	var dropped int
 	if scan.badLine > 0 {
@@ -191,7 +191,7 @@ func OpenCheckpoint(path, tag string) (*Checkpoint, error) {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
 	}
-	return &Checkpoint{path: path, tag: tag, data: scan.goodData, records: scan.records, index: index, dropped: dropped}, nil
+	return &Checkpoint{path: path, tag: tag, data: scan.goodData, records: records, index: index, dropped: dropped}, nil
 }
 
 // decodeRecord parses one journal line, verifying its checksum.
@@ -212,9 +212,7 @@ func decodeRecord(line []byte) (CellRecord, bool) {
 
 // Append journals one completed unit and rewrites the file atomically.
 // Appending a (stage, key) that is already journaled replaces nothing —
-// the first record wins, matching Lookup. A memory-only checkpoint
-// (empty path, see SeedCheckpoint) records the unit without touching
-// disk.
+// the first record wins, matching Lookup.
 func (c *Checkpoint) Append(rec CellRecord) error {
 	if c == nil {
 		return nil
@@ -225,18 +223,13 @@ func (c *Checkpoint) Append(rec CellRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.index[rec.Stage+"|"+rec.Key]; !dup {
+		line, err := encodeRecord(rec)
+		if err != nil {
+			return err
+		}
 		c.index[rec.Stage+"|"+rec.Key] = len(c.records)
 		c.records = append(c.records, rec)
-		if c.path != "" {
-			line, err := encodeRecord(rec)
-			if err != nil {
-				return err
-			}
-			c.data = append(append(c.data, line...), '\n')
-		}
-	}
-	if c.path == "" {
-		return nil
+		c.data = append(append(c.data, line...), '\n')
 	}
 	if err := writeAtomic(c.path, c.data); err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -281,7 +274,10 @@ func (c *Checkpoint) Len() int {
 	return len(c.records)
 }
 
-// Dropped reports how many corrupt lines OpenCheckpoint discarded.
+// Dropped reports whether OpenCheckpoint truncated a torn or corrupt
+// journal back to its good prefix: 1 if it did, 0 if the journal was
+// clean. It counts truncations, not lines — a truncation discards the
+// first bad line and every line after it.
 func (c *Checkpoint) Dropped() int {
 	if c == nil {
 		return 0
@@ -297,4 +293,86 @@ func (c *Checkpoint) Path() string {
 		return ""
 	}
 	return c.path
+}
+
+// JournalStatus classifies a journal's integrity for triage.
+type JournalStatus string
+
+const (
+	// JournalClean means every record line decoded and checksummed.
+	JournalClean JournalStatus = "clean"
+	// JournalTornTail means the journal ends in an undecodable line with
+	// nothing decodable after it — the signature of a crash mid-append.
+	// OpenCheckpoint truncates this back to the good prefix on resume.
+	JournalTornTail JournalStatus = "torn-tail"
+	// JournalCorrupt means a bad record line is followed by records that
+	// still decode — flipped bits in the middle of the file, not a torn
+	// tail. OpenCheckpoint truncates this back to the good prefix too:
+	// the stranded records may be fine, but the break means the file can
+	// no longer be trusted as an append-only history, so a resume
+	// recomputes their units.
+	JournalCorrupt JournalStatus = "corrupt"
+)
+
+// JournalInfo is a checkpoint journal's inspection report: everything an
+// operator needs to triage a dead run without reading bytes.
+type JournalInfo struct {
+	Path    string        `json:"path"`
+	Format  string        `json:"format"`
+	Version int           `json:"version"`
+	Tag     string        `json:"tag"`
+	Records int           `json:"records"`
+	Probes  int           `json:"probes"`
+	Cells   int           `json:"cells"`
+	LastKey string        `json:"last_key,omitempty"` // "stage key" of the last trusted record
+	Status  JournalStatus `json:"status"`
+	// BadLine is the 1-based line number of the first undecodable record
+	// line (0 when clean); Stranded counts records that still decode
+	// after it.
+	BadLine  int `json:"bad_line,omitempty"`
+	Stranded int `json:"stranded,omitempty"`
+}
+
+// Inspect reads a checkpoint journal without modifying it and reports
+// its header, trusted record counts, and integrity status. It errors
+// only when the file is unreadable or its header is not a checkpoint
+// header at all; wrong versions and foreign tags are reported in the
+// info, not rejected — inspection is for triage, policy belongs to
+// OpenCheckpoint.
+func Inspect(path string) (*JournalInfo, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	scan, err := scanJournal(raw)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %s is not a checkpoint file", path)
+	}
+	info := &JournalInfo{
+		Path:    path,
+		Format:  scan.hdr.Format,
+		Version: scan.hdr.Version,
+		Tag:     scan.hdr.Tag,
+		Records: len(scan.records),
+		Status:  JournalClean,
+	}
+	for _, rec := range scan.records {
+		switch rec.Stage {
+		case StageProbe:
+			info.Probes++
+		case StageCell:
+			info.Cells++
+		}
+		info.LastKey = rec.Stage + " " + rec.Key
+	}
+	if scan.badLine > 0 {
+		info.BadLine = scan.badLine
+		info.Stranded = scan.stranded
+		if scan.stranded > 0 {
+			info.Status = JournalCorrupt
+		} else {
+			info.Status = JournalTornTail
+		}
+	}
+	return info, nil
 }

@@ -197,6 +197,37 @@ func TestCheckpointDuplicateFirstWins(t *testing.T) {
 	if rec.BaseSeconds != 1 {
 		t.Errorf("duplicate append replaced the first record: %+v", rec)
 	}
+
+	// Append never writes a duplicate, but a journal on disk may hold
+	// one (hand-edited or concatenated); reopening it keeps the first.
+	path := ckptPath(t)
+	if _, err := CreateCheckpoint(path, ""); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{1, 2} {
+		line, err := encodeRecord(CellRecord{Stage: StageCell, Key: "k", BaseSeconds: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(append(raw, line...), '\n')
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenCheckpoint(path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d after reopening a duplicate, want 1", r.Len())
+	}
+	if rec, _ := r.Lookup(StageCell, "k"); rec.BaseSeconds != 1 {
+		t.Errorf("reopen let the later duplicate win: %+v", rec)
+	}
 }
 
 // TestCheckpointConcurrentAppendAndOpen races writers against readers of
@@ -274,4 +305,162 @@ func TestCheckpointAppendValidates(t *testing.T) {
 	if err := c.Append(CellRecord{Key: "k"}); err == nil {
 		t.Error("Append accepted a record without a stage")
 	}
+}
+
+// writeJournal creates a journal with the given records and returns its
+// path.
+func writeJournal(t *testing.T, records ...CellRecord) string {
+	t.Helper()
+	path := ckptPath(t)
+	cp, err := CreateCheckpoint(path, "tag")
+	if err != nil {
+		t.Fatalf("CreateCheckpoint: %v", err)
+	}
+	for _, rec := range records {
+		mustAppend(t, cp, rec)
+	}
+	return path
+}
+
+// corruptLine flips a checksum hex digit on the given 1-based line (the
+// header is line 1, so record n is line n+1).
+func corruptLine(t *testing.T, path string, line int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	if line-1 >= len(lines) {
+		t.Fatalf("journal has %d lines, cannot corrupt line %d", len(lines), line)
+	}
+	s := lines[line-1]
+	i := strings.Index(s, `"crc":"`)
+	if i < 0 {
+		t.Fatalf("line %d has no crc field: %s", line, s)
+	}
+	pos := i + len(`"crc":"`)
+	flip := byte('0')
+	if s[pos] == '0' {
+		flip = 'f'
+	}
+	lines[line-1] = s[:pos] + string(flip) + s[pos+1:]
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestInspectClean(t *testing.T) {
+	path := writeJournal(t,
+		CellRecord{Stage: StageProbe, Key: "ARL_Opteron"},
+		CellRecord{Stage: StageCell, Key: "avus|32", Observed: map[string]float64{"ARL_Opteron": 1.5}},
+	)
+	info, err := Inspect(path)
+	if err != nil {
+		t.Fatalf("Inspect: %v", err)
+	}
+	if info.Status != JournalClean || info.Records != 2 || info.Probes != 1 || info.Cells != 1 {
+		t.Fatalf("Inspect = %+v, want clean with 1 probe + 1 cell", info)
+	}
+	if info.Tag != "tag" || info.Format != formatCheckpoint || info.Version != FormatVersion {
+		t.Fatalf("Inspect header fields = %+v", info)
+	}
+	if info.LastKey != StageCell+" avus|32" {
+		t.Fatalf("LastKey = %q", info.LastKey)
+	}
+}
+
+func TestInspectTornTailVsCorrupt(t *testing.T) {
+	recs := []CellRecord{
+		{Stage: StageProbe, Key: "a"},
+		{Stage: StageProbe, Key: "b"},
+		{Stage: StageProbe, Key: "c"},
+	}
+
+	torn := writeJournal(t, recs...)
+	corruptLine(t, torn, 4) // last record: nothing decodable after
+	info, err := Inspect(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status != JournalTornTail || info.Records != 2 || info.BadLine != 4 || info.Stranded != 0 {
+		t.Fatalf("torn-tail Inspect = %+v", info)
+	}
+
+	corrupt := writeJournal(t, recs...)
+	corruptLine(t, corrupt, 3) // middle record: one intact record stranded
+	info, err = Inspect(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status != JournalCorrupt || info.Records != 1 || info.BadLine != 3 || info.Stranded != 1 {
+		t.Fatalf("corrupt Inspect = %+v", info)
+	}
+
+	// Inspect must not have rewritten either file.
+	raw, err := os.ReadFile(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(strings.Split(strings.TrimRight(string(raw), "\n"), "\n")); got != 4 {
+		t.Fatalf("Inspect rewrote the journal: %d lines left, want 4", got)
+	}
+}
+
+func TestInspectNotACheckpoint(t *testing.T) {
+	path := ckptPath(t)
+	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Inspect(path); err == nil || !strings.Contains(err.Error(), "not a checkpoint") {
+		t.Fatalf("Inspect on junk = %v, want not-a-checkpoint error", err)
+	}
+}
+
+// FuzzOpenCheckpoint feeds arbitrary bytes to the journal reader. Neither
+// Inspect nor OpenCheckpoint may panic; a journal with a valid header
+// reopens with one record per distinct trusted key, and the file it
+// leaves behind inspects clean.
+func FuzzOpenCheckpoint(f *testing.F) {
+	// The seed corpus lives in testdata/fuzz/FuzzOpenCheckpoint: a clean
+	// journal, a torn tail, mid-file corruption, a duplicate key, junk.
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := ckptPath(t)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, inspectErr := Inspect(path)
+		scan, scanErr := scanJournal(raw)
+		if (inspectErr == nil) != (scanErr == nil) {
+			t.Fatalf("Inspect err=%v but scan err=%v", inspectErr, scanErr)
+		}
+		tag := ""
+		if info != nil {
+			tag = info.Tag
+		}
+		c, err := OpenCheckpoint(path, tag)
+		if info == nil || info.Format != formatCheckpoint || info.Version != FormatVersion {
+			return // not a checkpoint this build reads; only no-panic is owed
+		}
+		if err != nil {
+			t.Fatalf("OpenCheckpoint on a valid header: %v", err)
+		}
+		if info.Records != len(scan.records) {
+			t.Fatalf("Inspect Records=%d, scan trusted %d", info.Records, len(scan.records))
+		}
+		keys := make(map[string]bool)
+		for _, rec := range scan.records {
+			keys[rec.Stage+"|"+rec.Key] = true
+		}
+		if c.Len() != len(keys) {
+			t.Fatalf("reopened Len=%d, want %d distinct trusted keys", c.Len(), len(keys))
+		}
+		after, err := Inspect(path)
+		if err != nil {
+			t.Fatalf("re-inspect after open: %v", err)
+		}
+		if after.Status != JournalClean {
+			t.Fatalf("journal after open inspects %s, want clean", after.Status)
+		}
+	})
 }

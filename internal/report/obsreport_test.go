@@ -29,25 +29,23 @@ func TestPhaseTableGolden(t *testing.T) {
 	}
 }
 
-// TestPhaseTableMergesShardLogs feeds PhaseTable the concatenation of
-// two shard workers' span logs — slot-prefixed IDs, per-shard roots —
-// and pins the merged flame summary: paths aggregate across shards (one
-// row per path, counts and totals summed), and parent lookups stay
-// inside each worker's ID slot.
-func TestPhaseTableMergesShardLogs(t *testing.T) {
-	slot := func(n uint64) uint64 { return n << 48 }
+// TestPhaseTableAggregatesAcrossRoots feeds PhaseTable one log holding
+// two root spans, each with its own child, and pins the flame summary:
+// paths aggregate across roots (one row per path, counts and totals
+// summed), and each child's self time is charged to its own parent.
+func TestPhaseTableAggregatesAcrossRoots(t *testing.T) {
 	recs := []obs.SpanRecord{
-		{ID: slot(1) + 1, Name: "study", Path: "study", DurNs: 10_000_000_000, Shard: "shard0"},
-		{ID: slot(1) + 2, Parent: slot(1) + 1, Name: "observe", Path: "study/observe", DurNs: 4_000_000_000, Shard: "shard0"},
-		{ID: slot(2) + 1, Name: "study", Path: "study", DurNs: 10_000_000_000, Shard: "shard1"},
-		{ID: slot(2) + 2, Parent: slot(2) + 1, Name: "observe", Path: "study/observe", DurNs: 6_000_000_000, Shard: "shard1"},
+		{ID: 1, Name: "study", Path: "study", DurNs: 10_000_000_000},
+		{ID: 2, Parent: 1, Name: "observe", Path: "study/observe", DurNs: 4_000_000_000},
+		{ID: 3, Name: "study", Path: "study", DurNs: 10_000_000_000},
+		{ID: 4, Parent: 3, Name: "observe", Path: "study/observe", DurNs: 6_000_000_000},
 	}
 	got := PhaseTable(obs.PhaseStats(recs)).CSV()
 	want := "Phase,Count,Total(s),Self(s),Self(%)\n" +
 		"study,2,20.000,10.000,50.0\n" +
 		"  observe,2,10.000,10.000,50.0\n"
 	if got != want {
-		t.Errorf("merged PhaseTable CSV = \n%s\nwant:\n%s", got, want)
+		t.Errorf("aggregated PhaseTable CSV = \n%s\nwant:\n%s", got, want)
 	}
 }
 

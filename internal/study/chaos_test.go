@@ -311,6 +311,17 @@ func TestStudyResumeRejectsDifferentFaultSeed(t *testing.T) {
 	}
 }
 
+// TestOptionsTagStable pins the journal options tag byte for byte: a
+// journal carries it in its header, so any change to its format strands
+// every journal written by an earlier build.
+func TestOptionsTagStable(t *testing.T) {
+	o := Options{Apps: []string{"avus-standard"}, Targets: []string{"ARL_Opteron", "MHPCC_P3"}, MaxAttempts: 4, CellTimeout: time.Second}
+	want := "apps=avus-standard;targets=ARL_Opteron,MHPCC_P3;noise=false;idle=false;nodeps=false;attempts=4;timeout=1s;faults="
+	if got := o.optionsTag(); got != want {
+		t.Errorf("optionsTag() = %q, want %q", got, want)
+	}
+}
+
 // TestForEachIndexedJoinsAllErrors: a multi-worker failure reports every
 // worker's error (satellite of the robustness PR) — errors.Is finds each
 // one, and the joined message lists the lowest index first.

@@ -105,12 +105,6 @@ type Results struct {
 	Traces      map[Key]*trace.Trace
 	Predictions []Prediction
 	Balanced    BalancedResult
-	// Quarantined and MissingShards describe what a CheckpointDir merge
-	// had to route around: shard journals excluded as corrupt or
-	// unreadable, and slice indexes no journal covered. Their units were
-	// recomputed by this run, so the results themselves are whole.
-	Quarantined   []persist.Quarantined
-	MissingShards []int
 }
 
 // SkipFor returns the skip record for one (cell, system) pair, if any.
@@ -206,69 +200,6 @@ type Options struct {
 	// units it already holds instead of starting fresh. The journal's
 	// options tag must match this run's options.
 	Resume bool
-	// Shard, when enabled, restricts this run to one slice of the
-	// machine×app grid — the distributed study's worker role. See Shard.
-	Shard Shard
-	// CheckpointDir, when non-empty, resumes from a *directory* of shard
-	// journals instead of a single file: the journals are merged
-	// (first-record-wins dedup, cross-shard tag consistency enforced,
-	// corrupt journals quarantined — see persist.MergeCheckpoints) and
-	// the run replays the merged units, recomputing whatever the shards
-	// never finished. Mutually exclusive with CheckpointPath and Shard.
-	CheckpointDir string
-}
-
-// Shard restricts a study run to one slice of the machine×app grid: the
-// worker with Index of Count processes every grid unit u (probe index
-// in base+targets order; cell index in paper order) with
-// u % Count == Index. The shard identity is folded into the checkpoint
-// options tag, so a shard journal can never be resumed into — or merged
-// as — the wrong slice. A sharded run stops after observation (stages 1
-// and 2) and so needs a CheckpointPath: predictions and the balanced
-// rating belong to the merge run, which computes them from the merged
-// journals.
-type Shard struct {
-	Index int
-	Count int
-	// Name labels this shard's journal, span log, and manifest; empty
-	// defaults to "shard<Index>".
-	Name string
-}
-
-// Enabled reports whether the spec names a real slice.
-func (s Shard) Enabled() bool { return s.Count > 1 }
-
-// Label returns the shard's name, defaulting to "shard<Index>".
-func (s Shard) Label() string {
-	if s.Name != "" {
-		return s.Name
-	}
-	return fmt.Sprintf("shard%d", s.Index)
-}
-
-func (s Shard) validate() error {
-	switch {
-	case s.Count == 0 && s.Index == 0 && s.Name == "":
-		return nil // zero value: sharding off
-	case s.Count < 2:
-		return fmt.Errorf("study: shard count %d, want at least 2", s.Count)
-	case s.Index < 0 || s.Index >= s.Count:
-		return fmt.Errorf("study: shard index %d outside [0,%d)", s.Index, s.Count)
-	case strings.Contains(s.Name, ";"):
-		return fmt.Errorf("study: shard name %q must not contain ';'", s.Name)
-	}
-	return nil
-}
-
-// owns reports whether grid unit i belongs to this shard.
-func (s Shard) owns(i int) bool { return !s.Enabled() || i%s.Count == s.Index }
-
-// spec converts to the persist layer's shard identity.
-func (s Shard) spec() persist.ShardSpec {
-	if !s.Enabled() {
-		return persist.ShardSpec{}
-	}
-	return persist.ShardSpec{Index: s.Index, Count: s.Count, Name: s.Label()}
 }
 
 // WantsApp reports whether test case id is inside the Apps filter
@@ -330,13 +261,6 @@ func skipReasonFor(err error) SkipReason {
 // Obs, the checkpoint controls themselves) stay out, so a resume may
 // freely change them.
 func (o Options) optionsTag() string {
-	return persist.ShardTag(o.baseTag(), o.Shard.spec())
-}
-
-// baseTag is the options tag without the shard component — the part
-// every shard of one campaign shares, and what MergeCheckpoints checks
-// journals against.
-func (o Options) baseTag() string {
 	return fmt.Sprintf("apps=%s;targets=%s;noise=%t;idle=%t;nodeps=%t;attempts=%d;timeout=%s;faults=%s",
 		strings.Join(o.Apps, ","), strings.Join(o.Targets, ","),
 		o.DisableNoise, o.IdleMemory, o.NoDependencyFlags,
@@ -424,22 +348,6 @@ func Run(opts Options) (*Results, error) {
 // context between basic blocks). Output is byte-identical to a sequential
 // run — see Options.Workers.
 func RunContext(ctx context.Context, opts Options) (*Results, error) {
-	if err := opts.Shard.validate(); err != nil {
-		return nil, err
-	}
-	if opts.CheckpointDir != "" {
-		if opts.CheckpointPath != "" {
-			return nil, fmt.Errorf("study: CheckpointDir and CheckpointPath are mutually exclusive")
-		}
-		if opts.Shard.Enabled() {
-			return nil, fmt.Errorf("study: a sharded run journals one slice (CheckpointPath); merging a CheckpointDir is the unsharded merge run's job")
-		}
-	}
-	if opts.Shard.Enabled() && opts.CheckpointPath == "" {
-		// A shard stops before predictions: its journal is its only
-		// product, so without one the slice's work would be thrown away.
-		return nil, fmt.Errorf("study: a sharded run needs a CheckpointPath to journal its slice into")
-	}
 	ctx = opts.Obs.Inject(ctx)
 	ctx = opts.Faults.Inject(ctx)
 	ctx, studySpan := obs.StartSpan(ctx, "study")
@@ -466,30 +374,9 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 
 	// The checkpoint journal, when configured: every completed probe and
 	// cell is appended, and with Resume the journaled units are replayed
-	// instead of re-executed. With CheckpointDir the journal is instead
-	// the memory-only merge of a shard campaign: journaled units replay,
-	// quarantined or missing shards' units recompute, and the shard
-	// files stay the durable artifact. Nil stays a no-op throughout.
+	// instead of re-executed. Nil stays a no-op throughout.
 	var cp *persist.Checkpoint
 	switch {
-	case opts.CheckpointDir != "":
-		merged, err := persist.MergeCheckpoints(opts.CheckpointDir, opts.baseTag())
-		if err != nil {
-			return nil, fmt.Errorf("study: %w", err)
-		}
-		res.Quarantined = merged.Quarantined
-		res.MissingShards = merged.MissingShards
-		for _, q := range merged.Quarantined {
-			plog.logf("quarantined shard journal %s: %s", q.Path, q.Reason)
-		}
-		if len(merged.MissingShards) > 0 {
-			plog.logf("no journal covers shard slice(s) %v; recomputing their units", merged.MissingShards)
-		}
-		cp, err = persist.SeedCheckpoint("", opts.baseTag(), merged.Records)
-		if err != nil {
-			return nil, fmt.Errorf("study: %w", err)
-		}
-		plog.logf("merged %d shard journals (%d units)", len(merged.Journals), cp.Len())
 	case opts.CheckpointPath != "" && opts.Resume:
 		cp, err = persist.OpenCheckpoint(opts.CheckpointPath, opts.optionsTag())
 		if err != nil {
@@ -507,16 +394,10 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	// Stage 1: probe all machines (base + targets), one pool job each.
 	// Probes are load-bearing for every later prediction, so a probe
 	// that fails after its retry budget is a clean study error, not a
-	// skip — but a checkpointed probe is never re-measured. A shard
-	// worker probes only its owned machine indexes: probes feed stages 3
-	// and 4, which belong to the merge run, and observation (stage 2)
-	// runs on machine configs, not probe results.
+	// skip — but a checkpointed probe is never re-measured.
 	all := append([]*machine.Config{base}, targets...)
 	prs := make([]*probes.Results, len(all))
 	err = forEachIndexed(ctx, len(all), opts.Workers, func(ctx context.Context, i int) error {
-		if !opts.Shard.owns(i) {
-			return nil
-		}
 		name := all[i].Name
 		if rec, ok := cp.Lookup(persist.StageProbe, name); ok && rec.Probes != nil {
 			prs[i] = rec.Probes
@@ -545,9 +426,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		return nil, err
 	}
 	for i, cfg := range all {
-		if prs[i] != nil {
-			res.Probes[cfg.Name] = prs[i]
-		}
+		res.Probes[cfg.Name] = prs[i]
 	}
 
 	execTarget := func(cfg *machine.Config) *machine.Config {
@@ -627,18 +506,8 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 			skippedError.Add(n)
 		}
 	}
-	// order maps pool-job position to cell index: a shard worker runs
-	// only its owned slice. Results stay in paper order regardless —
-	// slots are indexed by cell, not by processing position.
-	var order []int
-	for i := range cellJobs {
-		if opts.Shard.owns(i) {
-			order = append(order, i)
-		}
-	}
 	slots := make([]cellOut, len(cellJobs))
-	err = forEachIndexed(ctx, len(order), opts.Workers, func(ctx context.Context, j int) error {
-		i := order[j]
+	err = forEachIndexed(ctx, len(cellJobs), opts.Workers, func(ctx context.Context, i int) error {
 		job := cellJobs[i]
 		key := job.key
 		ctx, cell := obs.StartSpan(ctx, "observe")
@@ -779,9 +648,6 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		return nil, err
 	}
 	for i, job := range cellJobs {
-		if !opts.Shard.owns(i) {
-			continue
-		}
 		if slots[i].tr != nil {
 			res.BaseTimes[job.key] = slots[i].baseSeconds
 			res.Traces[job.key] = slots[i].tr
@@ -790,15 +656,6 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		if len(slots[i].skips) > 0 {
 			res.Skips[job.key] = slots[i].skips
 		}
-	}
-
-	// A shard worker stops here: its journal is the product. Predictions
-	// and the balanced rating need the whole grid, so they belong to the
-	// merge run, which recomputes them from the merged journals.
-	if opts.Shard.Enabled() {
-		plog.logf("shard %s (%d/%d) observed its slice: %d/%d cells, %d probes",
-			opts.Shard.Label(), opts.Shard.Index, opts.Shard.Count, len(order), len(cellJobs), len(res.Probes))
-		return res, nil
 	}
 
 	// Stage 3: the 9 × 150 predictions.

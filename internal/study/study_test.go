@@ -14,7 +14,7 @@ import (
 )
 
 // sliceOptions is the 2-app × 2-machine study slice used by the -short
-// race path, the cancellation tests, and cmd/benchstudy.
+// race path and the cancellation tests.
 func sliceOptions() Options {
 	return Options{
 		Apps:    []string{"avus-standard", "rfcth-standard"},
