@@ -46,6 +46,7 @@ import (
 	"hpcmetrics"
 	"hpcmetrics/internal/obs"
 	"hpcmetrics/internal/persist"
+	"hpcmetrics/internal/predictor"
 	"hpcmetrics/internal/report"
 	"hpcmetrics/internal/study"
 )
@@ -333,7 +334,7 @@ func exportObs(opts study.Options, spansPath, manifestPath, promPath, ablate str
 	}
 	if manifestPath != "" {
 		m := obs.NewManifest()
-		m.Seed = fmt.Sprintf("fnv1a-noise-amp=%g", study.NoiseAmplitude)
+		m.Seed = fmt.Sprintf("fnv1a-noise-amp=%g", predictor.NoiseAmplitude)
 		m.Options = map[string]any{
 			"apps":         opts.Apps,
 			"targets":      opts.Targets,

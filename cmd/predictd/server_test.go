@@ -133,6 +133,7 @@ func TestPredictEndpointRejectsBadRequests(t *testing.T) {
 		{"unparsable procs", "app=avus&target=ARL_Opteron&procs=abc"},
 		{"unknown metric", "app=avus&target=ARL_Opteron&metric=10"},
 		{"unknown target", "app=avus&target=CRAY_XMP"},
+		{"procs beyond the base system", "app=rfcth&target=ARL_Opteron&procs=1409"},
 	}
 	for _, c := range cases {
 		resp, body := get(t, ts.URL+"/v1/predict?"+c.query)
@@ -146,10 +147,13 @@ func TestPredictEndpointRejectsBadRequests(t *testing.T) {
 		}
 	}
 	// The unparsable-procs case fails at the HTTP layer before reaching
-	// the predictor, so bad_requests counts only the three resolver
-	// rejections.
-	if got := o.Metrics.Counter("predictd_bad_requests_total").Value(); got != 3 {
-		t.Errorf("predictd_bad_requests_total = %d, want 3", got)
+	// the predictor, so bad_requests counts only the four resolver
+	// rejections, and none of them is a server error.
+	if got := o.Metrics.Counter("predictd_bad_requests_total").Value(); got != 4 {
+		t.Errorf("predictd_bad_requests_total = %d, want 4", got)
+	}
+	if got := o.Metrics.Counter("predictd_errors_total").Value(); got != 0 {
+		t.Errorf("predictd_errors_total = %d, want 0", got)
 	}
 	resp, body := get(t, ts.URL+"/v1/rank?app=avus&targets=ARL_Opteron,CRAY_XMP")
 	if resp.StatusCode != http.StatusBadRequest {

@@ -201,11 +201,14 @@ func NewObs() *Obs { return obs.New() }
 // Predictor behind cmd/predict and the predictd server (see
 // internal/predictor).
 type (
-	// PredictEngine is the stateless compute core shared by the study
-	// harness, the predict CLI, and the predictd server.
+	// PredictEngine is the stateless compute core: the study harness's
+	// metric step, the predict CLI, and every Predictor layer call it.
 	PredictEngine = predictor.Engine
 	// Predictor answers prediction requests through the engine with
-	// exact-hit memoization and request coalescing.
+	// exact-hit memoization and request coalescing. The study runs its
+	// probes, cells and observations through the same layers under a
+	// noisy World; a NewPredictor here gets the zero World, so its
+	// answers equal a noise-ablated study's (metricstudy -ablate noise).
 	Predictor = predictor.Predictor
 	// PredictorConfig tunes a Predictor.
 	PredictorConfig = predictor.Config

@@ -353,7 +353,8 @@ func ParseRules(spec string) ([]Rule, error) {
 				part, fields[1], strings.Join(Points(), ", "))
 		}
 		rate, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || rate < 0 || rate > 1 {
+		// Written so NaN fails too: it compares false both ways.
+		if err != nil || !(rate >= 0 && rate <= 1) {
 			return nil, fmt.Errorf("faults: rule %q: rate %q must be a number in [0, 1]", part, fields[2])
 		}
 		r := Rule{Kind: kind, Point: fields[1], Rate: rate}

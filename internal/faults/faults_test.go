@@ -170,6 +170,7 @@ func TestParseRules(t *testing.T) {
 		"bogus:simexec.block:1",       // unknown kind
 		"transient:nowhere:1",         // unknown point
 		"transient:simexec.block:2",   // rate out of range
+		"transient:simexec.block:NaN", // rate not a number
 		"transient:simexec.block",     // too few fields
 		"stall:probes.step:1",         // stall without duration
 		"transient:simexec.block:1:x", // bad burst
@@ -218,4 +219,33 @@ func TestFingerprintDistinguishesPlans(t *testing.T) {
 			t.Errorf("changing %s left the fingerprint at %q", field, fp)
 		}
 	}
+}
+
+// FuzzParseRules: the -faults grammar never panics, and every rule it
+// accepts is one the injector can honor — a known point, a rate in
+// [0, 1], and a positive stall for the stall kind.
+func FuzzParseRules(f *testing.F) {
+	// The seed corpus lives in testdata/fuzz/FuzzParseRules: the CLI's
+	// documented examples, the chaos target's spec, and rejects.
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseRules(spec)
+		if err != nil {
+			return
+		}
+		known := make(map[string]bool)
+		for _, p := range Points() {
+			known[p] = true
+		}
+		for i, r := range rules {
+			if !known[r.Point] {
+				t.Errorf("rule %d: unknown point %q accepted", i, r.Point)
+			}
+			if !(r.Rate >= 0 && r.Rate <= 1) {
+				t.Errorf("rule %d: rate %v outside [0, 1] accepted", i, r.Rate)
+			}
+			if r.Kind == Stall && r.Stall <= 0 {
+				t.Errorf("rule %d: stall rule with stall %v accepted", i, r.Stall)
+			}
+		}
+	})
 }

@@ -484,3 +484,24 @@ func TestRuntimeSampler(t *testing.T) {
 		t.Fatal("sampler did not stop after cancellation")
 	}
 }
+
+// FuzzParseTraceparent: the header parser never panics, and whatever it
+// accepts is the W3C version-00 form it reports — a nonzero lowercase-hex
+// trace and parent ID, rebuilt byte for byte from the input.
+func FuzzParseTraceparent(f *testing.F) {
+	// The seed corpus lives in testdata/fuzz/FuzzParseTraceparent.
+	f.Fuzz(func(t *testing.T, h string) {
+		trace, parent, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if want := "00-" + trace + "-" + parent + "-" + h[53:]; h != want {
+			t.Fatalf("accepted %q but parsed it as %q", h, want)
+		}
+		for _, id := range []string{trace, parent} {
+			if strings.Trim(id, "0123456789abcdef") != "" || strings.Trim(id, "0") == "" {
+				t.Fatalf("accepted %q with ID %q, want nonzero lowercase hex", h, id)
+			}
+		}
+	})
+}

@@ -2,7 +2,10 @@
 // a callable facade: "how fast will application X's test case C run on
 // machine Y at Z processors, by metric M?" — one stateless Engine shared
 // by the study harness, the predict CLI, and the predictd server, plus a
-// memoizing, coalescing Predictor built for concurrent serving.
+// memoizing, coalescing Predictor built for concurrent serving. The study
+// probes, runs and observes through a Predictor's layers too, under a
+// World that adds observation noise (see World), so a served answer and
+// the study's number for the same cell and World are one computation.
 //
 // Probes and trace signatures are deterministic functions of their
 // inputs, so the Predictor caches them with exact hits, keyed
@@ -118,12 +121,13 @@ type Ranking struct {
 	Entries     []*Result `json:"ranking"`
 }
 
-// cellValue is the memoized per-(app, case, procs) work: the base-system
-// ground truth and the trace, the two artifacts the paper stresses are
-// collected "only once per application".
-type cellValue struct {
-	baseSeconds float64
-	tr          *trace.Trace
+// Cell is one (application, case, processor count) cell's base-system
+// work, the two artifacts the paper stresses are collected "only once per
+// application": the observed base runtime every metric scales from, and
+// the trace.
+type Cell struct {
+	BaseSeconds float64
+	Trace       *trace.Trace
 }
 
 // observation is the memoized per-(cell, machine) ground truth.
@@ -141,6 +145,7 @@ type Predictor struct {
 	eng     Engine
 	base    *machine.Config
 	workers int
+	world   World
 
 	probeCache   *cache
 	cellCache    *cache
@@ -152,6 +157,9 @@ type Predictor struct {
 type Config struct {
 	// Workers bounds Rank's per-machine fan-out; 0 means GOMAXPROCS.
 	Workers int
+	// World sets observation noise and the ablations; the zero World is
+	// the plain model every server and CLI answers from.
+	World World
 }
 
 // New returns a Predictor with empty caches, anchored to the study's
@@ -160,6 +168,7 @@ func New(cfg Config) *Predictor {
 	return &Predictor{
 		base:         machine.Base(),
 		workers:      cfg.Workers,
+		world:        cfg.World,
 		probeCache:   newCache("predictor_probe_cache", "probes"),
 		cellCache:    newCache("predictor_cell_cache", "cell"),
 		predictCache: newCache("predictor_predict_cache", "predict"),
@@ -220,6 +229,10 @@ func (p *Predictor) resolve(app, caseName string, procs int, machineName string,
 	if procs < 1 {
 		return r, fmt.Errorf("%w: procs %d, want >= 1", ErrBadRequest, procs)
 	}
+	if procs > p.base.TotalProcs { // every prediction scales from a base run
+		return r, fmt.Errorf("%w: procs %d exceeds the base system %s's %d processors",
+			ErrBadRequest, procs, p.base.Name, p.base.TotalProcs)
+	}
 	target, err := machine.Preset(machineName)
 	if err != nil {
 		return r, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -229,6 +242,47 @@ func (p *Predictor) resolve(app, caseName string, procs int, machineName string,
 		return r, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return resolved{tc: tc, procs: procs, target: target, metric: m}, nil
+}
+
+// cellKey names a cell as the study does: "app-case@procs".
+func cellKey(tc apps.TestCase, procs int) string { return fmt.Sprintf("%s@%d", tc.ID(), procs) }
+
+// Cell runs the cell's base-system ground truth and collects its trace,
+// both under the Predictor's World. Cell and Observe are the world-aware
+// layers uncached: Predict and Rank memoize them, and the study calls
+// them directly under its own retry and checkpoint journal. The probe
+// layer needs no world; it is Engine.Probes.
+func (p *Predictor) Cell(ctx context.Context, tc apps.TestCase, procs int) (Cell, error) {
+	app, err := tc.Instance(procs)
+	if err != nil {
+		return Cell{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	run, err := p.eng.Execute(ctx, p.world.runOn(p.base), app)
+	if err != nil {
+		return Cell{}, err
+	}
+	tr, err := p.eng.Trace(ctx, p.base, app)
+	if err != nil {
+		return Cell{}, err
+	}
+	return Cell{
+		BaseSeconds: p.world.observe(run.Seconds, cellKey(tc, procs), p.base.Name),
+		Trace:       p.world.traced(tr),
+	}, nil
+}
+
+// Observe runs the cell's ground truth on target under the Predictor's
+// World. A job larger than target fails with simexec.ErrTooLarge.
+func (p *Predictor) Observe(ctx context.Context, tc apps.TestCase, procs int, target *machine.Config) (float64, error) {
+	app, err := tc.Instance(procs)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	run, err := p.eng.Execute(ctx, p.world.runOn(target), app)
+	if err != nil {
+		return 0, err
+	}
+	return p.world.observe(run.Seconds, cellKey(tc, procs), target.Name), nil
 }
 
 // probesFor returns the machine's memoized probe suite.
@@ -243,45 +297,28 @@ func (p *Predictor) probesFor(ctx context.Context, cfg *machine.Config) (*probes
 }
 
 // cellFor returns the cell's memoized base run and trace.
-func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (cellValue, hitKind, error) {
-	key := fmt.Sprintf("%s@%d", tc.ID(), procs)
-	v, kind, err := p.cellCache.get(ctx, key, func(ctx context.Context) (any, error) {
-		app, err := tc.Instance(procs)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		run, err := p.eng.Execute(ctx, p.base, app)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := p.eng.Trace(ctx, p.base, app)
-		if err != nil {
-			return nil, err
-		}
-		return cellValue{baseSeconds: run.Seconds, tr: tr}, nil
+func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (Cell, hitKind, error) {
+	v, kind, err := p.cellCache.get(ctx, cellKey(tc, procs), func(ctx context.Context) (any, error) {
+		return p.Cell(ctx, tc, procs)
 	})
 	if err != nil {
-		return cellValue{}, kind, err
+		return Cell{}, kind, err
 	}
-	return v.(cellValue), kind, nil
+	return v.(Cell), kind, nil
 }
 
 // observeFor returns the cell's memoized ground truth on one machine.
 func (p *Predictor) observeFor(ctx context.Context, tc apps.TestCase, procs int, target *machine.Config) (observation, hitKind, error) {
 	key := fmt.Sprintf("%s@%d|%s", tc.ID(), procs, target.Name)
 	v, kind, err := p.observeCache.get(ctx, key, func(ctx context.Context) (any, error) {
-		app, err := tc.Instance(procs)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		run, err := p.eng.Execute(ctx, target, app)
+		seconds, err := p.Observe(ctx, tc, procs, target)
 		if errors.Is(err, simexec.ErrTooLarge) {
 			return observation{}, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		return observation{seconds: run.Seconds, fits: true}, nil
+		return observation{seconds: seconds, fits: true}, nil
 	})
 	if err != nil {
 		return observation{}, kind, err
@@ -317,7 +354,7 @@ func (p *Predictor) Predict(ctx context.Context, req Request) (*Result, error) {
 	predKey := fmt.Sprintf("%s@%d|%s|%d", r.tc.ID(), r.procs, r.target.Name, r.metric.ID)
 	v, kind, err := p.predictCache.get(ctx, predKey, func(ctx context.Context) (any, error) {
 		return p.eng.PredictMetric(ctx, r.metric, metrics.Context{
-			Trace: cell.tr, Base: basePr, Target: targetPr, BaseSeconds: cell.baseSeconds,
+			Trace: cell.Trace, Base: basePr, Target: targetPr, BaseSeconds: cell.BaseSeconds,
 		})
 	})
 	if err != nil {
@@ -327,7 +364,7 @@ func (p *Predictor) Predict(ctx context.Context, req Request) (*Result, error) {
 	res := &Result{
 		App: r.tc.Name, Case: r.tc.Case, Procs: r.procs, Machine: r.target.Name,
 		MetricID: r.metric.ID, MetricLabel: r.metric.Label(), MetricName: r.metric.Name,
-		BaseMachine: p.base.Name, BaseSeconds: cell.baseSeconds,
+		BaseMachine: p.base.Name, BaseSeconds: cell.BaseSeconds,
 		PredictedSeconds: v.(float64),
 		Fits:             r.procs <= r.target.TotalProcs,
 	}
@@ -424,14 +461,4 @@ func (p *Predictor) CacheStats() map[string]CacheStat {
 		"predictions":  p.predictCache.stat(),
 		"observations": p.observeCache.stat(),
 	}
-}
-
-// CacheSizes reports how many keys each memoization layer holds, for
-// introspection endpoints and tests.
-func (p *Predictor) CacheSizes() map[string]int {
-	sizes := make(map[string]int, 4)
-	for layer, st := range p.CacheStats() {
-		sizes[layer] = st.Keys
-	}
-	return sizes
 }

@@ -230,6 +230,7 @@ func TestResolveRejectsBadRequests(t *testing.T) {
 		{"unknown machine", Request{App: "avus", Machine: "CRAY_XMP", MetricID: 9}},
 		{"unknown metric", Request{App: "avus", Machine: machine.ARLOpteron, MetricID: 10}},
 		{"negative procs", Request{App: "avus", Procs: -4, Machine: machine.ARLOpteron, MetricID: 9}},
+		{"procs beyond the base system", Request{App: "rfcth", Procs: 1409, Machine: machine.ARLOpteron, MetricID: 9}},
 	}
 	for _, c := range cases {
 		if _, err := p.Predict(context.Background(), c.req); !errors.Is(err, ErrBadRequest) {
@@ -433,5 +434,20 @@ func TestCacheWaiterHonorsOwnDeadline(t *testing.T) {
 	})
 	if err != nil || kind != hitSettled || v.(string) != "slow" {
 		t.Fatalf("post-settle get = (%v, kind=%v, %v), want settled slow", v, kind, err)
+	}
+}
+
+func TestObservationNoiseProperties(t *testing.T) {
+	cell := "a-b@8"
+	n1 := observationNoise(cell, "m1")
+	n2 := observationNoise(cell, "m1")
+	if n1 != n2 {
+		t.Fatal("noise not deterministic")
+	}
+	if n1 < 1-NoiseAmplitude || n1 > 1+NoiseAmplitude {
+		t.Fatalf("noise %g outside band", n1)
+	}
+	if observationNoise(cell, "m2") == n1 {
+		t.Fatal("noise identical across machines")
 	}
 }

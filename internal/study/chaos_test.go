@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -319,30 +318,5 @@ func TestOptionsTagStable(t *testing.T) {
 	want := "apps=avus-standard;targets=ARL_Opteron,MHPCC_P3;noise=false;idle=false;nodeps=false;attempts=4;timeout=1s;faults="
 	if got := o.optionsTag(); got != want {
 		t.Errorf("optionsTag() = %q, want %q", got, want)
-	}
-}
-
-// TestForEachIndexedJoinsAllErrors: a multi-worker failure reports every
-// worker's error (satellite of the robustness PR) — errors.Is finds each
-// one, and the joined message lists the lowest index first.
-func TestForEachIndexedJoinsAllErrors(t *testing.T) {
-	errA := errors.New("index 0 failed")
-	errB := errors.New("index 1 failed")
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	err := forEachIndexed(context.Background(), 2, 2, func(ctx context.Context, i int) error {
-		barrier.Done()
-		barrier.Wait()
-		if i == 0 {
-			return errA
-		}
-		return errB
-	})
-	if !errors.Is(err, errA) || !errors.Is(err, errB) {
-		t.Fatalf("err = %v, want both worker errors joined", err)
-	}
-	msg := err.Error()
-	if strings.Index(msg, "index 0") > strings.Index(msg, "index 1") {
-		t.Errorf("joined message %q does not list the lowest index first", msg)
 	}
 }

@@ -1,8 +1,10 @@
 // Package study orchestrates the full SC'05 reproduction: probe every
 // system, observe every (application, processor count, system) cell with
 // the ground-truth executor, trace every application instance on the base
-// system, apply all nine metrics plus the balanced rating, and aggregate
-// errors into the paper's tables and figures.
+// system (all three through a predictor.Predictor, so a served answer and
+// the study's number for a cell are one computation), apply all nine
+// metrics plus the balanced rating, and aggregate errors into the paper's
+// tables and figures.
 //
 // The paper's grid is 5 test cases × 3 processor counts × 10 target
 // systems = 150 observations and 9 × 150 = 1,350 predictions; cells whose
@@ -124,28 +126,6 @@ func (r *Results) SkipCounts() map[SkipReason]int {
 	return out
 }
 
-// NoiseAmplitude is the deterministic stand-in for run-to-run variability
-// of real observed times (OS jitter, placement, I/O): every recorded
-// observation is scaled by a factor in [1-amp, 1+amp] hashed from its
-// (cell, machine) identity. The paper's observed times carry such noise
-// inherently; without it, a target machine that happens to resemble the
-// base would be predicted with implausibly perfect accuracy.
-const NoiseAmplitude = 0.10
-
-// observationNoise returns the deterministic noise factor for one cell on
-// one machine.
-func observationNoise(key Key, machineName string) float64 {
-	var h uint64 = 1469598103934665603 // FNV-1a over "cell|machine"
-	for _, s := range []string{key.String(), "|", machineName} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	u := float64(h>>11) / float64(uint64(1)<<53) // uniform [0,1)
-	return 1 + NoiseAmplitude*(2*u-1)
-}
-
 // Options configures a run. The ablation switches exist to quantify how
 // much each model ingredient contributes to the study's error structure
 // (DESIGN.md calls these out); all are off for the paper reproduction.
@@ -216,11 +196,10 @@ func (o Options) WantsApp(id string) bool {
 	return false
 }
 
-func (o Options) noise(key Key, machineName string) float64 {
-	if o.DisableNoise {
-		return 1
-	}
-	return observationNoise(key, machineName)
+// world is the predictor.World the options describe: the paper
+// reproduction's noise plus whichever ablations are switched on.
+func (o Options) world() predictor.World {
+	return predictor.World{Noise: !o.DisableNoise, IdleMemory: o.IdleMemory, NoDependencyFlags: o.NoDependencyFlags}
 }
 
 // retryPolicy is the per-unit policy every probe/trace/observe cell
@@ -267,15 +246,6 @@ func (o Options) optionsTag() string {
 		o.MaxAttempts, o.CellTimeout, o.Faults.Fingerprint())
 }
 
-// idle returns the machine with its loaded-memory gap removed, for the
-// IdleMemory ablation.
-func idle(cfg *machine.Config) *machine.Config {
-	out := cfg.Clone()
-	out.MemLoadedFraction = 1
-	out.MemLoadedLatencyFactor = 1
-	return out
-}
-
 // studyTargets resolves the prediction-target set: the full paper grid,
 // or the Options.Targets subset in the order given.
 func (o Options) studyTargets() ([]*machine.Config, error) {
@@ -320,21 +290,6 @@ func (l *progressLog) logf(format string, args ...any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	fmt.Fprintf(l.w, format+"\n", args...)
-}
-
-// engine is the shared compute facade (internal/predictor): the study,
-// the predict CLI, and the predictd server all run their probe,
-// execution, trace, and metric computations through the same Engine, so
-// a number produced by any one of them is byte-identical to the others'.
-var engine predictor.Engine
-
-// forEachIndexed is the study's view of the shared ctx-aware worker pool
-// (internal/par), reporting under the study_* metric names: the
-// study_workers_busy gauge tracks occupancy (its peak is the effective
-// parallelism), study_queue_wait_seconds records how long each job sat
-// between enqueue and pickup, and study_jobs_total counts dispatches.
-func forEachIndexed(ctx context.Context, n, workers int, work func(ctx context.Context, i int) error) error {
-	return par.ForEachIndexed(ctx, n, workers, "study", work)
 }
 
 // Run executes the full study.
@@ -390,6 +345,10 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	}
 	rp := opts.retryPolicy()
 	resumed := meter.Counter("study_checkpoint_resumed_total")
+	// The Predictor's layers compute every probe, cell and observation
+	// under the options' World; the study wraps each call in its own
+	// retry, journal and skip bookkeeping.
+	pred := predictor.New(predictor.Config{Workers: opts.Workers, World: opts.world()})
 
 	// Stage 1: probe all machines (base + targets), one pool job each.
 	// Probes are load-bearing for every later prediction, so a probe
@@ -397,7 +356,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	// skip — but a checkpointed probe is never re-measured.
 	all := append([]*machine.Config{base}, targets...)
 	prs := make([]*probes.Results, len(all))
-	err = forEachIndexed(ctx, len(all), opts.Workers, func(ctx context.Context, i int) error {
+	err = par.ForEachIndexed(ctx, len(all), opts.Workers, "study", func(ctx context.Context, i int) error {
 		name := all[i].Name
 		if rec, ok := cp.Lookup(persist.StageProbe, name); ok && rec.Probes != nil {
 			prs[i] = rec.Probes
@@ -408,7 +367,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		var pr *probes.Results
 		_, err := retry.Do(ctx, rp, "probe|"+name, func(ctx context.Context) error {
 			var err error
-			pr, err = engine.Probes(ctx, all[i])
+			pr, err = pred.Engine().Probes(ctx, all[i])
 			return err
 		})
 		if err != nil {
@@ -429,109 +388,61 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		res.Probes[cfg.Name] = prs[i]
 	}
 
-	execTarget := func(cfg *machine.Config) *machine.Config {
-		if opts.IdleMemory {
-			return idle(cfg)
-		}
-		return cfg
-	}
-
 	// Stage 2: instantiate cells, observe ground truth, trace on base.
-	// Each cell is one pool job; slots keep aggregation in paper order no
-	// matter which worker finishes first.
-	type cellJob struct {
-		key   Key
-		tc    apps.TestCase
-		procs int
-	}
-	type cellOut struct {
-		baseSeconds float64
-		tr          *trace.Trace
-		obs         map[string]float64
-		skips       map[string]Skip
-	}
-	// recordFromCell / cellFromRecord move one completed cell in and out
-	// of the checkpoint journal. JSON round-trips float64 exactly, so a
-	// resumed run's numbers are bit-identical to an uninterrupted one.
-	recordFromCell := func(key Key, out cellOut) persist.CellRecord {
-		rec := persist.CellRecord{
-			Stage: persist.StageCell, Key: key.String(),
-			BaseSeconds: out.baseSeconds, Trace: out.tr, Observed: out.obs,
-		}
-		for name, s := range out.skips {
-			if rec.Skips == nil {
-				rec.Skips = make(map[string]persist.CheckpointSkip, len(out.skips))
-			}
-			rec.Skips[name] = persist.CheckpointSkip{Reason: string(s.Reason), Detail: s.Detail, Attempts: s.Attempts}
-		}
-		return rec
-	}
-	cellFromRecord := func(rec persist.CellRecord) cellOut {
-		out := cellOut{baseSeconds: rec.BaseSeconds, tr: rec.Trace, obs: rec.Observed}
-		if out.tr != nil && out.obs == nil {
-			// A completed cell always has an observation map, even when
-			// every target skipped; JSON omits empty maps.
-			out.obs = map[string]float64{}
-		}
-		for name, s := range rec.Skips {
-			if out.skips == nil {
-				out.skips = make(map[string]Skip, len(rec.Skips))
-			}
-			out.skips[name] = Skip{Reason: SkipReason(s.Reason), Detail: s.Detail, Attempts: s.Attempts}
-		}
-		return out
-	}
-	var cellJobs []cellJob
+	// Each cell is one pool job whose outcome is its checkpoint record;
+	// slots keep aggregation in paper order no matter which worker
+	// finishes first.
+	var cases []apps.TestCase // cases[i] is res.Cells[i]'s test case
 	for _, tc := range apps.Registry() {
 		if !opts.WantsApp(tc.ID()) {
 			continue
 		}
 		for _, procs := range tc.CPUCounts {
-			key := Key{App: tc.Name, Case: tc.Case, Procs: procs}
-			res.Cells = append(res.Cells, key)
-			cellJobs = append(cellJobs, cellJob{key: key, tc: tc, procs: procs})
+			res.Cells = append(res.Cells, Key{App: tc.Name, Case: tc.Case, Procs: procs})
+			cases = append(cases, tc)
 		}
 	}
 	completed := meter.Counter("study_cells_completed_total")
 	skippedTooLarge := meter.Counter("study_cells_skipped_toolarge_total")
 	skippedError := meter.Counter("study_cells_skipped_error_total")
 	skippedTimeout := meter.Counter("study_cells_skipped_timeout_total")
-	countSkip := func(reason SkipReason, n int64) {
+	// skip records one absent observation in rec and counts it.
+	skip := func(rec *persist.CellRecord, target string, reason SkipReason, err error, attempts int) {
+		if rec.Skips == nil {
+			rec.Skips = make(map[string]persist.CheckpointSkip)
+		}
+		rec.Skips[target] = persist.CheckpointSkip{Reason: string(reason), Detail: err.Error(), Attempts: attempts}
 		switch reason {
 		case SkipTooLarge:
-			skippedTooLarge.Add(n)
+			skippedTooLarge.Inc()
 		case SkipTimeout:
-			skippedTimeout.Add(n)
+			skippedTimeout.Inc()
 		default:
-			skippedError.Add(n)
+			skippedError.Inc()
 		}
 	}
-	slots := make([]cellOut, len(cellJobs))
-	err = forEachIndexed(ctx, len(cellJobs), opts.Workers, func(ctx context.Context, i int) error {
-		job := cellJobs[i]
-		key := job.key
+	slots := make([]persist.CellRecord, len(res.Cells))
+	err = par.ForEachIndexed(ctx, len(res.Cells), opts.Workers, "study", func(ctx context.Context, i int) error {
+		key := res.Cells[i]
 		ctx, cell := obs.StartSpan(ctx, "observe")
 		defer cell.End()
 		if cell != nil {
 			cell.Annotate("cell", key.String())
 		}
 		if rec, ok := cp.Lookup(persist.StageCell, key.String()); ok {
-			slots[i] = cellFromRecord(rec)
+			slots[i] = rec
 			resumed.Inc()
 			if cell != nil {
 				cell.Annotate("resumed", "checkpoint")
 			}
-			plog.logf("resumed %s from checkpoint (%d observations)", key, len(slots[i].obs))
+			plog.logf("resumed %s from checkpoint (%d observations)", key, len(rec.Observed))
 			return nil
 		}
-		app, err := job.tc.Instance(job.procs)
-		if err != nil {
-			return fmt.Errorf("study: %s: %w", key, err)
-		}
 
-		// Every unit below (base run, trace, per-target observation) is
-		// one retryable attempt sequence under the options' budget and
-		// deadline; retries counts the extras for the cell's span.
+		// Every unit below (the cell's base run and trace, each target's
+		// observation) is one retryable attempt sequence under the
+		// options' budget and deadline; retries counts the extras for the
+		// cell's span.
 		var retries int
 		runUnit := func(site string, op func(context.Context) error) (int, error) {
 			attempts, err := retry.Do(ctx, rp, site, op)
@@ -541,120 +452,86 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 			return attempts, err
 		}
 
-		var out cellOut
-		// cellFailed downgrades a base/trace failure to a full row of
-		// skips: without them no target can be predicted, but losing one
-		// cell's row must not lose the run. Parent cancellation still
-		// aborts.
-		cellFailed := func(attempts int, err error) error {
-			if ctx.Err() != nil {
-				return fmt.Errorf("study: %s: %w", key, err)
-			}
-			reason := skipReasonFor(err)
-			out = cellOut{skips: make(map[string]Skip, len(targets))}
-			for _, cfg := range targets {
-				out.skips[cfg.Name] = Skip{Reason: reason, Detail: err.Error(), Attempts: attempts}
-			}
-			countSkip(reason, int64(len(targets)))
-			plog.logf("cell %s failed after %d attempts: %v", key, attempts, err)
-			return nil
-		}
-
-		var baseRun *simexec.Result
-		attempts, err := runUnit("base|"+key.String(), func(ctx context.Context) error {
-			r, err := engine.Execute(ctx, execTarget(base), app)
-			baseRun = r
+		rec := persist.CellRecord{Stage: persist.StageCell, Key: key.String()}
+		var onBase predictor.Cell
+		attempts, err := runUnit("cell|"+key.String(), func(ctx context.Context) error {
+			var err error
+			onBase, err = pred.Cell(ctx, cases[i], key.Procs)
 			return err
 		})
-		failed := err != nil
-		if failed {
-			if aerr := cellFailed(attempts, err); aerr != nil {
-				return aerr
-			}
-		}
-		if !failed {
-			var tr *trace.Trace
-			attempts, err = runUnit("trace|"+key.String(), func(ctx context.Context) error {
-				t, err := engine.Trace(ctx, base, app)
-				tr = t
-				return err
-			})
-			if err != nil {
-				failed = true
-				if aerr := cellFailed(attempts, err); aerr != nil {
-					return aerr
-				}
-			} else {
-				if opts.NoDependencyFlags {
-					for i := range tr.Blocks {
-						tr.Blocks[i].ILPLimited = false
-					}
-				}
-				out.baseSeconds = baseRun.Seconds * opts.noise(key, base.Name)
-				out.tr = tr
-			}
-		}
-		if !failed {
-			out.obs = make(map[string]float64, len(targets))
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return fmt.Errorf("study: %s: %w", key, err)
+		case err != nil:
+			// Without a base run and trace no target can be predicted,
+			// but losing one cell's row must not lose the run: the whole
+			// row becomes skips.
 			for _, cfg := range targets {
-				var run *simexec.Result
+				skip(&rec, cfg.Name, skipReasonFor(err), err, attempts)
+			}
+			plog.logf("cell %s failed after %d attempts: %v", key, attempts, err)
+		default:
+			rec.BaseSeconds, rec.Trace = onBase.BaseSeconds, onBase.Trace
+			rec.Observed = make(map[string]float64, len(targets))
+			for _, cfg := range targets {
+				var seconds float64
 				attempts, err := runUnit("observe|"+key.String()+"|"+cfg.Name, func(ctx context.Context) error {
-					r, err := engine.Execute(ctx, execTarget(cfg), app)
-					run = r
+					var err error
+					seconds, err = pred.Observe(ctx, cases[i], key.Procs, cfg)
 					return err
 				})
 				switch {
+				case err == nil:
+					rec.Observed[cfg.Name] = seconds
+					completed.Inc()
 				case errors.Is(err, simexec.ErrTooLarge):
 					// Missing cell, like the paper's blanks.
-					if out.skips == nil {
-						out.skips = make(map[string]Skip)
-					}
-					out.skips[cfg.Name] = Skip{Reason: SkipTooLarge, Detail: err.Error(), Attempts: attempts}
-					skippedTooLarge.Inc()
-					continue
-				case err != nil:
-					if ctx.Err() != nil {
-						return fmt.Errorf("study: observing %s on %s: %w", key, cfg.Name, err)
-					}
+					skip(&rec, cfg.Name, SkipTooLarge, err, attempts)
+				case ctx.Err() != nil:
+					return fmt.Errorf("study: observing %s on %s: %w", key, cfg.Name, err)
+				default:
 					// A real per-target failure loses one observation, not
 					// the run: record it so reports can show ERR, and audit
 					// the grid via Results.Skips.
-					reason := skipReasonFor(err)
-					if out.skips == nil {
-						out.skips = make(map[string]Skip)
-					}
-					out.skips[cfg.Name] = Skip{Reason: reason, Detail: err.Error(), Attempts: attempts}
-					countSkip(reason, 1)
+					skip(&rec, cfg.Name, skipReasonFor(err), err, attempts)
 					plog.logf("observation %s on %s failed after %d attempts: %v", key, cfg.Name, attempts, err)
-					continue
 				}
-				out.obs[cfg.Name] = run.Seconds * opts.noise(key, cfg.Name)
-				completed.Inc()
 			}
 		}
 		if cell != nil && retries > 0 {
 			cell.Annotate("retries", strconv.Itoa(retries))
 		}
-		slots[i] = out
-		if err := cp.Append(recordFromCell(key, out)); err != nil {
+		slots[i] = rec
+		if err := cp.Append(rec); err != nil {
 			return fmt.Errorf("study: %w", err)
 		}
-		if !failed {
-			plog.logf("observed %s on %d systems (base %.0f s)", key, len(out.obs), baseRun.Seconds)
+		if rec.Trace != nil {
+			plog.logf("observed %s on %d systems (base %.0f s)", key, len(rec.Observed), rec.BaseSeconds)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, job := range cellJobs {
-		if slots[i].tr != nil {
-			res.BaseTimes[job.key] = slots[i].baseSeconds
-			res.Traces[job.key] = slots[i].tr
+	// JSON round-trips float64 exactly, so a resumed cell's numbers are
+	// bit-identical to a computed one's.
+	for i, key := range res.Cells {
+		rec := slots[i]
+		if rec.Trace != nil {
+			res.BaseTimes[key] = rec.BaseSeconds
+			res.Traces[key] = rec.Trace
+			if rec.Observed == nil {
+				// A completed cell always has an observation map, even
+				// when every target skipped; JSON omits empty maps.
+				rec.Observed = map[string]float64{}
+			}
 		}
-		res.Observed[job.key] = slots[i].obs
-		if len(slots[i].skips) > 0 {
-			res.Skips[job.key] = slots[i].skips
+		res.Observed[key] = rec.Observed
+		for name, s := range rec.Skips {
+			if res.Skips[key] == nil {
+				res.Skips[key] = make(map[string]Skip, len(rec.Skips))
+			}
+			res.Skips[key][name] = Skip{Reason: SkipReason(s.Reason), Detail: s.Detail, Attempts: s.Attempts}
 		}
 	}
 
@@ -676,7 +553,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 					continue
 				}
 				t0 := predictLatency.StartTimer()
-				pred, err := engine.PredictMetric(mctx, m, metrics.Context{
+				predicted, err := pred.Engine().PredictMetric(mctx, m, metrics.Context{
 					Trace:       res.Traces[key],
 					Base:        basePr,
 					Target:      res.Probes[name],
@@ -691,9 +568,9 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 					MetricID:  m.ID,
 					Key:       key,
 					Machine:   name,
-					Predicted: pred,
+					Predicted: predicted,
 					Actual:    actual,
-					SignedErr: metrics.SignedError(pred, actual),
+					SignedErr: metrics.SignedError(predicted, actual),
 				})
 			}
 		}

@@ -22,6 +22,30 @@ func sliceOptions() Options {
 	}
 }
 
+var (
+	sliceOnce sync.Once
+	sliceRes  *Results
+	sliceObs  *obs.Obs
+	sliceErr  error
+)
+
+// tracedSlice runs the sliceOptions study, traced, once per test binary:
+// TestStudySliceShort checks its spans and counters, TestPredictorParity
+// its numbers.
+func tracedSlice(t *testing.T) (*Results, *obs.Obs) {
+	t.Helper()
+	sliceOnce.Do(func() {
+		opts := sliceOptions()
+		opts.Obs = obs.New()
+		sliceRes, sliceErr = Run(opts)
+		sliceObs = opts.Obs
+	})
+	if sliceErr != nil {
+		t.Fatal(sliceErr)
+	}
+	return sliceRes, sliceObs
+}
+
 // The full study runs once per process via Shared(); every test here reads
 // from that single run. This is the repository's primary integration test:
 // it exercises machines, probes, workloads, the executor, the tracer, the
@@ -235,12 +259,7 @@ func TestAggregationHelpers(t *testing.T) {
 // (pool, slots, cancellation plumbing) exercised under `go test -race
 // -short ./...` without the full study's wall-clock.
 func TestStudySliceShort(t *testing.T) {
-	opts := sliceOptions()
-	opts.Obs = obs.New()
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, o := tracedSlice(t)
 	if len(res.Cells) != 6 {
 		t.Errorf("cells = %d, want 6 (2 test cases x 3 CPU counts)", len(res.Cells))
 	}
@@ -263,7 +282,7 @@ func TestStudySliceShort(t *testing.T) {
 	// The run was traced: every pipeline phase must appear in the span
 	// tree, with counts tied to the slice's shape.
 	counts := map[string]int64{}
-	for _, st := range opts.Obs.Tracer.PhaseStats() {
+	for _, st := range o.Tracer.PhaseStats() {
 		counts[st.Path] = st.Count
 	}
 	wantCounts := map[string]int64{
@@ -283,11 +302,11 @@ func TestStudySliceShort(t *testing.T) {
 	if counts["study/predict/convolve"] == 0 {
 		t.Error("no convolve spans under study/predict")
 	}
-	completed := opts.Obs.Metrics.Counter("study_cells_completed_total").Value()
+	completed := o.Metrics.Counter("study_cells_completed_total").Value()
 	if got, want := completed, int64(res.ObservationCount()); got != want {
 		t.Errorf("completed counter = %d, want %d (one per observation)", got, want)
 	}
-	if n := opts.Obs.Metrics.Counter("study_cells_skipped_toolarge_total").Value(); n != 0 {
+	if n := o.Metrics.Counter("study_cells_skipped_toolarge_total").Value(); n != 0 {
 		t.Errorf("too-large counter = %d, want 0 (every slice cell fits)", n)
 	}
 	if len(res.Skips) != 0 {
@@ -432,21 +451,6 @@ func TestUnknownTargetRejected(t *testing.T) {
 	}
 }
 
-func TestObservationNoiseProperties(t *testing.T) {
-	k := Key{App: "a", Case: "b", Procs: 8}
-	n1 := observationNoise(k, "m1")
-	n2 := observationNoise(k, "m1")
-	if n1 != n2 {
-		t.Fatal("noise not deterministic")
-	}
-	if n1 < 1-NoiseAmplitude || n1 > 1+NoiseAmplitude {
-		t.Fatalf("noise %g outside band", n1)
-	}
-	if observationNoise(k, "m2") == n1 {
-		t.Fatal("noise identical across machines")
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	k := Key{App: "avus", Case: "large", Procs: 384}
 	if k.String() != "avus-large@384" || k.AppID() != "avus-large" {
@@ -552,78 +556,5 @@ func TestIdleMemoryAblationChangesObservations(t *testing.T) {
 		if okL && i >= l {
 			t.Errorf("%s: idle-memory run %g not faster than loaded %g", name, i, l)
 		}
-	}
-}
-
-func TestForEachIndexedZeroItems(t *testing.T) {
-	called := false
-	err := forEachIndexed(context.Background(), 0, 4, func(ctx context.Context, i int) error {
-		called = true
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("n=0 returned %v", err)
-	}
-	if called {
-		t.Fatal("work called with no items")
-	}
-}
-
-func TestForEachIndexedMoreWorkersThanItems(t *testing.T) {
-	const n = 3
-	var mu sync.Mutex
-	counts := make([]int, n)
-	err := forEachIndexed(context.Background(), n, 16, func(ctx context.Context, i int) error {
-		mu.Lock()
-		counts[i]++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Errorf("index %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestForEachIndexedParentCancelMidFeed(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ran := 0
-	err := forEachIndexed(ctx, 100, 1, func(ctx context.Context, i int) error {
-		ran++
-		if i == 2 {
-			cancel() // parent cancellation arrives while the feed loop runs
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran >= 100 {
-		t.Fatal("cancellation did not stop dispatch")
-	}
-}
-
-func TestForEachIndexedLowestErrorWins(t *testing.T) {
-	errA := errors.New("index 0 failed")
-	errB := errors.New("index 1 failed")
-	// A barrier holds both workers until each has its job, so both errors
-	// are in flight concurrently; the lowest index must still win.
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	err := forEachIndexed(context.Background(), 2, 2, func(ctx context.Context, i int) error {
-		barrier.Done()
-		barrier.Wait()
-		if i == 0 {
-			return errA
-		}
-		return errB
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want the index-0 error", err)
 	}
 }
