@@ -87,7 +87,11 @@ trace-smoke:
 # permanently broken — produces the chaos-out/ artifact: every table
 # including the skip/attempts table and the retry counters, plus the
 # span log, manifest, and metrics dump, which cmd/tracecheck validates
-# (including the retry/fault counter algebra).
+# (including the retry/fault counter algebra). A second chaotic run must
+# print byte-identical study tables: which hits a fault takes is a
+# function of the seed and the fault identity, never of scheduling. The
+# traced run's trailing phases section holds wall-clock times, so the
+# rerun is untraced and the comparison stops where that section starts.
 chaos:
 	$(GO) test -race -timeout 30m \
 		-run 'TestStudyTransientStormConverges|TestStudyPermanentFaultSkipsNotCrashes|TestStudyCheckpointResume|TestStudyResumeRejectsDifferentOptions' \
@@ -103,6 +107,12 @@ chaos:
 		-prom chaos-out/metrics.prom \
 		> chaos-out/tables.csv
 	$(GO) run ./cmd/tracecheck chaos-out/spans.jsonl chaos-out/manifest.json chaos-out/metrics.prom
+	$(GO) run ./cmd/metricstudy -quiet -csv \
+		-apps avus-standard -targets ARL_Opteron,MHPCC_P3 \
+		-faults 'transient:simexec.block:1:2,permanent:simexec.block:1:1::MHPCC_P3' \
+		-max-attempts 4 \
+		> chaos-out/tables-rerun.csv
+	sed '/^Phase,Count/,$$d' chaos-out/tables.csv | cmp - chaos-out/tables-rerun.csv
 
 # predictd-smoke boots the prediction server on an ephemeral port with
 # span + access logs enabled, waits for the -ready-file handshake, and

@@ -3,18 +3,18 @@
 // the job fits on the simulated target — compares it against the
 // ground-truth observed time, reporting the paper's Equation 2 error.
 //
-// The computation runs through the shared internal/predictor Engine —
-// the same facade the study harness and the predictd server use — so a
-// number printed here is byte-identical to theirs for the same cell.
+// Each metric is one request to a zero-World Predictor with ground truth
+// on, so the numbers printed here are what predictd serves for
+// /v1/predict?observed=1. With -all the nine requests share one probe
+// suite per machine, one base run and trace, and one target run.
 //
 // Usage:
 //
-//	predict -app hycom -target ARL_Opteron [-metric 9] [-procs 96] [-all]
+//	predict -app hycom -target ARL_Opteron [-case standard] [-procs 96] [-metric 9 | -all]
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,9 +23,6 @@ import (
 	"syscall"
 
 	"hpcmetrics"
-	"hpcmetrics/internal/metrics"
-	"hpcmetrics/internal/persist"
-	"hpcmetrics/internal/predictor"
 )
 
 func main() {
@@ -48,7 +45,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	target := fs.String("target", "", "target machine preset")
 	metricID := fs.Int("metric", 9, "metric number 1-9 (paper Table 3)")
 	all := fs.Bool("all", false, "apply all nine metrics")
-	tracePath := fs.String("trace", "", "reuse a trace written by tracer -o instead of tracing now")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -72,132 +68,47 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if err := predict(ctx, *appName, *caseName, *procs, *target, *metricID, *all, *tracePath, stdout, stderr); err != nil {
+	ids := []int{*metricID}
+	if *all {
+		ids = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	}
+	req := hpcmetrics.PredictRequest{App: *appName, Case: *caseName, Procs: *procs, Machine: *target, Observed: true}
+	if err := predict(ctx, req, ids, stdout); err != nil {
 		fmt.Fprintln(stderr, "predict:", err)
 		return 1
 	}
 	return 0
 }
 
-func predict(ctx context.Context, appName, caseName string, procs int, target string, metricID int, all bool, tracePath string, stdout, stderr io.Writer) error {
-	var eng predictor.Engine
-
-	tc, err := hpcmetrics.LookupTestCase(appName, caseName)
-	if err != nil {
-		return err
-	}
-	if procs == 0 {
-		if procs, err = tc.DefaultProcs(); err != nil {
+// predict asks one Predictor for req under each metric in ids and prints
+// the answers. The Predictor validates each request before computing.
+func predict(ctx context.Context, req hpcmetrics.PredictRequest, ids []int, stdout io.Writer) error {
+	p := hpcmetrics.NewPredictor(hpcmetrics.PredictorConfig{})
+	var res *hpcmetrics.PredictResult
+	for i, id := range ids {
+		req.MetricID = id
+		var err error
+		if res, err = p.Predict(ctx, req); err != nil {
 			return err
 		}
-	}
-	app, err := tc.Instance(procs)
-	if err != nil {
-		return err
-	}
-
-	base := hpcmetrics.BaseMachine()
-	targetCfg, err := hpcmetrics.LookupMachine(target)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(stderr, "probing %s and %s...\n", base.Name, targetCfg.Name)
-	basePr, err := eng.Probes(ctx, base)
-	if err != nil {
-		return err
-	}
-	targetPr, err := eng.Probes(ctx, targetCfg)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(stderr, "running %s at %d CPUs on the base system...\n", tc.ID(), procs)
-	baseRun, err := eng.Execute(ctx, base, app)
-	if err != nil {
-		return err
-	}
-
-	var tr *hpcmetrics.Trace
-	if tracePath != "" {
-		fmt.Fprintf(stderr, "loading trace from %s...\n", tracePath)
-		tr, err = persist.LoadTrace(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := validateTrace(tr, tc, procs); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintln(stderr, "tracing on the base system...")
-		tr, err = eng.Trace(ctx, base, app)
-		if err != nil {
-			return err
-		}
-	}
-
-	actual, fits, err := observeTarget(ctx, eng, targetCfg, app)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(stdout, "%s at %d CPUs: base (%s) observed %.0f s\n",
-		tc.ID(), procs, base.Name, baseRun.Seconds)
-
-	ids := []int{metricID}
-	if all {
-		ids = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	}
-	for _, id := range ids {
-		m, err := hpcmetrics.MetricByID(id)
-		if err != nil {
-			return err
-		}
-		pred, err := eng.PredictMetric(ctx, m, metrics.Context{
-			Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseRun.Seconds,
-		})
-		if err != nil {
-			return err
+		if i == 0 {
+			fmt.Fprintf(stdout, "%s-%s at %d CPUs: base (%s) observed %.0f s\n",
+				res.App, res.Case, res.Procs, res.BaseMachine, res.BaseSeconds)
 		}
 		fmt.Fprintf(stdout, "metric %-4s %-20s predicts %8.0f s on %s",
-			m.Label(), m.Name, pred, targetCfg.Name)
-		if fits {
-			fmt.Fprintf(stdout, "  (observed %.0f s, error %+.0f%%)",
-				actual, hpcmetrics.SignedError(pred, actual))
+			res.MetricLabel, res.MetricName, res.PredictedSeconds, res.Machine)
+		if res.HasObserved {
+			fmt.Fprintf(stdout, "  (observed %.0f s, error %+.0f%%)", res.ObservedSeconds, res.SignedErrorPct)
 		}
 		fmt.Fprintln(stdout)
 	}
-	if !fits {
+	if !res.Fits {
+		cfg, err := hpcmetrics.LookupMachine(res.Machine)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(stdout, "(job does not fit on %s's %d processors; no observed time)\n",
-			targetCfg.Name, targetCfg.TotalProcs)
+			cfg.Name, cfg.TotalProcs)
 	}
 	return nil
-}
-
-// validateTrace rejects a reused trace that was collected for a
-// different cell. All three identity fields are checked — a trace of the
-// right application and processor count but the wrong test case (a
-// "standard" trace driving a "large" prediction) is as wrong as a
-// different application.
-func validateTrace(tr *hpcmetrics.Trace, tc hpcmetrics.AppTestCase, procs int) error {
-	if tr.App != tc.Name || tr.Case != tc.Case || tr.Procs != procs {
-		return fmt.Errorf("trace is %s-%s@%d, requested %s@%d",
-			tr.App, tr.Case, tr.Procs, tc.ID(), procs)
-	}
-	return nil
-}
-
-// observeTarget runs the app on the target machine for ground truth. A
-// job too large for the machine is not a failure — there is simply no
-// observation, like the blank cells in the paper's appendix — but every
-// other execution error is real and must not be swallowed.
-func observeTarget(ctx context.Context, eng predictor.Engine, cfg *hpcmetrics.MachineConfig, app *hpcmetrics.App) (seconds float64, fits bool, err error) {
-	run, err := eng.Execute(ctx, cfg, app)
-	if errors.Is(err, hpcmetrics.ErrJobTooLarge) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return run.Seconds, true, nil
 }

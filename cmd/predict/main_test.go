@@ -3,136 +3,63 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"hpcmetrics"
-	"hpcmetrics/internal/persist"
-	"hpcmetrics/internal/predictor"
-	"hpcmetrics/internal/trace"
 )
 
-// TestObserveTargetTooLarge: a job exceeding the machine's processor
-// count is a missing observation, not an error — the prediction still
-// prints, just without a ground-truth comparison.
-func TestObserveTargetTooLarge(t *testing.T) {
-	var eng predictor.Engine
-	cfg := hpcmetrics.Machine(hpcmetrics.ARLOpteron)
-	tc, err := hpcmetrics.LookupTestCase("avus", "standard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := tc.Instance(cfg.TotalProcs + 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seconds, fits, err := observeTarget(context.Background(), eng, cfg, app)
-	if err != nil {
-		t.Fatalf("too-large job reported as error: %v", err)
-	}
-	if fits || seconds != 0 {
-		t.Fatalf("too-large job observed: fits=%v seconds=%g", fits, seconds)
-	}
-}
-
-// TestObserveTargetRealError is the regression test for the discarded
-// Execute error: any failure other than a too-large job must surface,
-// not silently leave the observation at zero.
-func TestObserveTargetRealError(t *testing.T) {
-	var eng predictor.Engine
-	tc, err := hpcmetrics.LookupTestCase("avus", "standard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := tc.Instance(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &hpcmetrics.MachineConfig{} // fails validation inside Execute
-	if _, _, err := observeTarget(context.Background(), eng, bad, app); err == nil {
-		t.Fatal("execution failure swallowed")
-	}
-}
-
-// TestObserveTargetFits: a job that fits returns its observed time.
-func TestObserveTargetFits(t *testing.T) {
+// TestGolden pins predict's stdout byte for byte: a fitting cell under
+// every metric, and a cell too large for its target, which still prints
+// the prediction but no observed time.
+func TestGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a full-fidelity execution")
+		t.Skip("probes machines and runs base and target executions")
 	}
-	var eng predictor.Engine
-	cfg := hpcmetrics.Machine(hpcmetrics.ARLOpteron)
-	tc, err := hpcmetrics.LookupTestCase("rfcth", "standard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := tc.Instance(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seconds, fits, err := observeTarget(context.Background(), eng, cfg, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fits || seconds <= 0 {
-		t.Fatalf("fitting job not observed: fits=%v seconds=%g", fits, seconds)
-	}
-}
-
-// TestValidateTraceRejectsCaseMismatch is the regression test for the
-// trust gap where a reused trace was validated by application and
-// processor count but not by test case: an avus-standard trace must not
-// silently drive an avus-large prediction.
-func TestValidateTraceRejectsCaseMismatch(t *testing.T) {
-	tc, err := hpcmetrics.LookupTestCase("avus", "large")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &hpcmetrics.Trace{App: "avus", Case: "standard", Procs: 128}
-	err = validateTrace(tr, tc, 128)
-	if err == nil {
-		t.Fatal("case-mismatched trace accepted")
-	}
-	if !strings.Contains(err.Error(), "avus-standard@128") || !strings.Contains(err.Error(), "avus-large@128") {
-		t.Errorf("mismatch error %q does not name both cells", err)
-	}
-
-	// The matching identity still passes, and app/procs mismatches are
-	// still caught.
-	if err := validateTrace(&hpcmetrics.Trace{App: "avus", Case: "large", Procs: 128}, tc, 128); err != nil {
-		t.Errorf("matching trace rejected: %v", err)
-	}
-	if err := validateTrace(&hpcmetrics.Trace{App: "hycom", Case: "large", Procs: 128}, tc, 128); err == nil {
-		t.Error("app-mismatched trace accepted")
-	}
-	if err := validateTrace(&hpcmetrics.Trace{App: "avus", Case: "large", Procs: 64}, tc, 128); err == nil {
-		t.Error("procs-mismatched trace accepted")
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"rfcth-16-ARL_Opteron-all.golden", []string{"-app", "rfcth", "-procs", "16", "-target", "ARL_Opteron", "-all"}},
+		{"rfcth-129-ARL_690_1.7.golden", []string{"-app", "rfcth", "-procs", "129", "-target", "ARL_690_1.7"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(context.Background(), c.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d; stderr:\n%s", code, stderr.String())
+			}
+			if got := stdout.String(); got != string(want) {
+				t.Errorf("stdout drifted from %s\ngot:\n%s\nwant:\n%s", c.golden, got, want)
+			}
+		})
 	}
 }
 
-// TestTraceFlagRejectsCaseMismatch drives the full CLI against a
-// persisted trace of the wrong test case and expects exit code 1 with
-// both cell identities in the diagnostic.
-func TestTraceFlagRejectsCaseMismatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("probes two machines and runs a base execution")
-	}
-	path := filepath.Join(t.TempDir(), "avus-standard.trace")
-	// One block keeps persist.LoadTrace from rejecting the file as empty,
-	// so the run reaches the identity validation under test.
-	tr := &trace.Trace{App: "avus", Case: "standard", Procs: 128, Blocks: make([]trace.BlockTrace, 1)}
-	if err := persist.SaveTrace(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(),
-		[]string{"-app", "avus", "-case", "large", "-procs", "128", "-target", "ARL_Opteron", "-trace", path},
-		&stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "avus-standard@128") {
-		t.Errorf("stderr %q does not identify the mismatched trace", stderr.String())
+// TestBadRequestBeforeCompute: an invalid metric or an oversized
+// processor count is rejected as a bad request before any probe or run
+// starts, so even an already-cancelled context reports the request
+// error rather than the cancellation.
+func TestBadRequestBeforeCompute(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-app", "rfcth", "-target", "ARL_Opteron", "-metric", "10"},
+		{"-app", "rfcth", "-target", "ARL_Opteron", "-procs", "1409"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(ctx, args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit code %d, want 1", args, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "bad request") || strings.Contains(msg, "context canceled") {
+			t.Errorf("%v: stderr %q, want the bad-request message", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", args, stdout.String())
+		}
 	}
 }
 

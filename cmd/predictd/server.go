@@ -414,21 +414,6 @@ func (s *server) handlePredict(ctx context.Context, st *reqState, w http.Respons
 	s.writeJSONETag(w, r, res)
 }
 
-// rankOutcome folds per-machine outcomes into the request-level one: the
-// coldest entry wins, matching the predictor's own per-layer rule.
-func rankOutcome(entries []*predictor.Result) string {
-	outcome := "cached"
-	for _, e := range entries {
-		switch e.Outcome {
-		case "cold":
-			return "cold"
-		case "coalesced":
-			outcome = "coalesced"
-		}
-	}
-	return outcome
-}
-
 func (s *server) handleRank(ctx context.Context, st *reqState, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	procs, err := queryInt(r, "procs", 0)
@@ -461,7 +446,7 @@ func (s *server) handleRank(ctx context.Context, st *reqState, w http.ResponseWr
 		s.writeComputeError(w, err)
 		return
 	}
-	st.setOutcome(rankOutcome(res.Entries))
+	st.setOutcome(res.Outcome)
 	s.writeJSONETag(w, r, res)
 }
 

@@ -16,6 +16,9 @@ import (
 	"hpcmetrics/internal/metrics"
 	"hpcmetrics/internal/obs"
 	"hpcmetrics/internal/predictor"
+	"hpcmetrics/internal/probes"
+	"hpcmetrics/internal/simexec"
+	"hpcmetrics/internal/trace"
 )
 
 // newTestServer boots a predictd handler on an httptest server.
@@ -317,10 +320,8 @@ func TestServePredictParity(t *testing.T) {
 		t.Errorf("predictd_not_modified_total = %d, want 1", got)
 	}
 
-	// Recompute the same cell the way cmd/predict does — direct Engine
-	// calls, no caches — and require bitwise equality through the JSON
-	// round trip.
-	var eng predictor.Engine
+	// Recompute the same cell by direct package calls — no caches — and
+	// require bitwise equality through the JSON round trip.
 	ctx := o.Inject(context.Background())
 	base := machine.Base()
 	target, err := machine.Preset(machine.ARLOpteron)
@@ -335,19 +336,19 @@ func TestServePredictParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePr, err := eng.Probes(ctx, base)
+	basePr, err := probes.MeasureContext(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetPr, err := eng.Probes(ctx, target)
+	targetPr, err := probes.MeasureContext(ctx, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRun, err := eng.Execute(ctx, base, app)
+	baseRun, err := simexec.ExecuteContext(ctx, base, app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := eng.Trace(ctx, base, app)
+	tr, err := trace.CollectContext(ctx, base, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,17 +356,17 @@ func TestServePredictParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := eng.PredictMetric(ctx, m, metrics.Context{
+	direct, err := m.PredictContext(ctx, metrics.Context{
 		Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseRun.Seconds,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(direct) != math.Float64bits(warm.PredictedSeconds) {
-		t.Errorf("CLI-path computation %v differs from served %v", direct, warm.PredictedSeconds)
+		t.Errorf("direct computation %v differs from served %v", direct, warm.PredictedSeconds)
 	}
 	if math.Float64bits(baseRun.Seconds) != math.Float64bits(warm.BaseSeconds) {
-		t.Errorf("CLI-path base %v differs from served %v", baseRun.Seconds, warm.BaseSeconds)
+		t.Errorf("direct base %v differs from served %v", baseRun.Seconds, warm.BaseSeconds)
 	}
 
 	// The rank endpoint reuses the warmed caches: no new trace runs.

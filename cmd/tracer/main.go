@@ -2,7 +2,8 @@
 // dumps its signature: per-block operation counts, stride classification,
 // working-set estimates, ILP flags, and the MPI event profile — what
 // MetaSim Tracer, the stride detector, MPIDTRACE, and the static analyzer
-// deliver in the paper's tool chain.
+// deliver in the paper's tool chain. The dump is for reading; predict
+// and predictd trace the cell themselves and memoize the signature.
 //
 // Usage:
 //
@@ -15,7 +16,6 @@ import (
 	"os"
 
 	"hpcmetrics"
-	"hpcmetrics/internal/persist"
 )
 
 func main() {
@@ -23,7 +23,6 @@ func main() {
 	caseName := flag.String("case", "", "test case (standard, large; default: first registered)")
 	procs := flag.Int("procs", 0, "processor count (default: the test case's middle count)")
 	baseName := flag.String("base", hpcmetrics.BaseSystem, "base system to trace on")
-	out := flag.String("o", "", "also write the trace as JSON to this path (reusable by predict -trace)")
 	flag.Parse()
 
 	if *appName == "" {
@@ -78,14 +77,6 @@ func main() {
 	fmt.Println("\nMPI event profile (per rank, whole run):")
 	for _, ev := range tr.Comm {
 		fmt.Printf("  %-10s %10.0f events x %8d bytes\n", ev.Op, ev.Count, ev.Bytes)
-	}
-
-	if *out != "" {
-		if err := persist.SaveTrace(*out, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "tracer:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *out)
 	}
 }
 

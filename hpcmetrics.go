@@ -197,18 +197,14 @@ type (
 // NewObs returns an observability bundle to pass in StudyOptions.Obs.
 func NewObs() *Obs { return obs.New() }
 
-// Serving: the stateless prediction engine and the memoizing, coalescing
-// Predictor behind cmd/predict and the predictd server (see
-// internal/predictor).
+// Serving: the memoizing, coalescing Predictor that cmd/predict and the
+// predictd server ask (see internal/predictor).
 type (
-	// PredictEngine is the stateless compute core: the study harness's
-	// metric step, the predict CLI, and every Predictor layer call it.
-	PredictEngine = predictor.Engine
-	// Predictor answers prediction requests through the engine with
-	// exact-hit memoization and request coalescing. The study runs its
-	// probes, cells and observations through the same layers under a
-	// noisy World; a NewPredictor here gets the zero World, so its
-	// answers equal a noise-ablated study's (metricstudy -ablate noise).
+	// Predictor answers prediction requests with exact-hit memoization
+	// and request coalescing. The study runs its cells and observations
+	// through the same layers under a noisy World; a NewPredictor here
+	// gets the zero World, so its answers equal a noise-ablated study's
+	// (metricstudy -ablate noise) and what cmd/predict prints.
 	Predictor = predictor.Predictor
 	// PredictorConfig tunes a Predictor.
 	PredictorConfig = predictor.Config

@@ -82,8 +82,9 @@ var (
 )
 
 // The named injection points. Each pairs with a (site, sub) identity:
-// the machine and application for executor blocks, the machine and step
-// name for probes, the application and block name for tracing.
+// the machine and the application run ("app-case@procs") for executor
+// blocks, the machine and step name for probes, the application run and
+// block name for tracing.
 const (
 	PointExecBlock  = "simexec.block"
 	PointProbeStep  = "probes.step"

@@ -230,6 +230,3 @@ func (s *Simulator) Stats() Stats {
 	out.Covered = append([]int64(nil), s.stats.Covered...)
 	return out
 }
-
-// Machine returns the configuration the simulator was built from.
-func (s *Simulator) Machine() *machine.Config { return s.cfg }

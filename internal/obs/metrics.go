@@ -158,21 +158,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0))
 }
 
-// Merge folds other's observations into h. Nil-safe on both sides;
-// goroutine-safe with respect to concurrent Observes on either.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	for i := 0; i <= histBucketCount; i++ {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sumNs.Add(other.sumNs.Load())
-}
-
 // Count returns how many durations were observed; nil reads 0.
 func (h *Histogram) Count() int64 {
 	if h == nil {

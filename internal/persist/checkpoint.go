@@ -1,24 +1,28 @@
-// Checkpoint format: the study's crash-recovery journal.
+// Package persist is the study's crash-recovery journal, so an
+// interrupted run resumes instead of recomputing: every probed machine
+// and every observed cell is journaled once, and a resumed study replays
+// the journaled units.
 //
 // A checkpoint is a line-delimited file — one JSON header line followed
 // by one JSON line per completed unit of study work (a probed machine or
 // an observed cell). Each record line carries a CRC-32 checksum of its
 // payload, so a file torn by a crash or a concurrent reader is detected
 // at the first bad line and truncated back to the good prefix rather
-// than misread; the header carries the same format/version guard as the
-// rest of the package plus a tag fingerprinting the study options, so a
-// resume against a checkpoint from a different study fails loudly.
-// Every write goes through writeAtomic: a reader sees either the old
-// complete journal or the new one, never a half-appended record.
-
+// than misread; the header carries a format/version guard plus a tag
+// fingerprinting the study options, so a resume against a checkpoint
+// from a different study fails loudly. Every write goes through
+// writeAtomic: a reader sees either the old complete journal or the new
+// one, never a half-appended record.
 package persist
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"hpcmetrics/internal/probes"
@@ -26,6 +30,10 @@ import (
 )
 
 const formatCheckpoint = "hpcmetrics-checkpoint"
+
+// FormatVersion guards journals against schema drift: a journal written
+// by a different major version is rejected rather than misread.
+const FormatVersion = 1
 
 // Record stages: a probed machine, or a fully observed cell.
 const (
@@ -375,4 +383,32 @@ func Inspect(path string) (*JournalInfo, error) {
 		}
 	}
 	return info, nil
+}
+
+// writeAtomic writes data to path via a temp file and rename: a reader
+// (or a crash mid write) sees either the old complete file or the new
+// complete file, never a truncated one. The temp file lives in the
+// destination directory so the rename stays on one filesystem.
+func writeAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	name := tmp.Name()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(name, 0o644)
+	}
+	if err == nil {
+		err = os.Rename(name, path)
+	}
+	if err != nil {
+		if rerr := os.Remove(name); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
+	}
+	return err
 }

@@ -281,6 +281,31 @@ func TestCheckpointConcurrentAppendAndOpen(t *testing.T) {
 	}
 }
 
+// TestSaveLeavesNoTempFiles: the rename consumes writeAtomic's temp
+// file; failure paths remove it. After a create and a few appends the
+// directory holds exactly the journal.
+func TestSaveLeavesNoTempFiles(t *testing.T) {
+	path := ckptPath(t)
+	c, err := CreateCheckpoint(path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a", "b", "c"} {
+		mustAppend(t, c, CellRecord{Stage: StageCell, Key: key})
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory not clean after create and appends: %v", names)
+	}
+}
+
 func TestCheckpointNilSafe(t *testing.T) {
 	var c *Checkpoint
 	if err := c.Append(CellRecord{Stage: StageCell, Key: "k"}); err != nil {

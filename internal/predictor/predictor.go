@@ -1,11 +1,11 @@
 // Package predictor is the answer to the paper's procurement question as
 // a callable facade: "how fast will application X's test case C run on
-// machine Y at Z processors, by metric M?" — one stateless Engine shared
-// by the study harness, the predict CLI, and the predictd server, plus a
-// memoizing, coalescing Predictor built for concurrent serving. The study
-// probes, runs and observes through a Predictor's layers too, under a
-// World that adds observation noise (see World), so a served answer and
-// the study's number for the same cell and World are one computation.
+// machine Y at Z processors, by metric M?" — a memoizing, coalescing
+// Predictor that the predict CLI and the predictd server ask, built for
+// concurrent serving. The study runs and observes through a Predictor's
+// layers too, under a World that adds observation noise (see World), so a
+// served answer and the study's number for the same cell and World are
+// one computation.
 //
 // Probes and trace signatures are deterministic functions of their
 // inputs, so the Predictor caches them with exact hits, keyed
@@ -27,6 +27,7 @@ import (
 	"hpcmetrics/internal/apps"
 	"hpcmetrics/internal/machine"
 	"hpcmetrics/internal/metrics"
+	"hpcmetrics/internal/obs"
 	"hpcmetrics/internal/par"
 	"hpcmetrics/internal/probes"
 	"hpcmetrics/internal/simexec"
@@ -119,6 +120,10 @@ type Ranking struct {
 	MetricID    int       `json:"metric"`
 	MetricLabel string    `json:"metric_label"`
 	Entries     []*Result `json:"ranking"`
+	// Outcome folds the entries' outcomes the way Result.Outcome folds
+	// one request's layers: the coldest wins. It is for access logs,
+	// not the response body.
+	Outcome string `json:"-"`
 }
 
 // Cell is one (application, case, processor count) cell's base-system
@@ -136,13 +141,15 @@ type observation struct {
 	fits    bool
 }
 
-// Predictor serves predictions through the shared Engine with exact-hit
-// memoization and request coalescing on every deterministic layer:
-// probe suites per machine, (base run, trace) per cell, predictions per
-// (cell, machine, metric), and ground truths per (cell, machine).
-// Goroutine-safe; build with New.
+// Predictor serves predictions with exact-hit memoization and request
+// coalescing on every deterministic layer: probe suites per machine,
+// (base run, trace) per cell, predictions per (cell, machine, metric),
+// and ground truths per (cell, machine). Each layer's computation moves
+// one obs counter — predictor_{probe,exec,trace,metric}_runs_total — so
+// a caller's registry shows how many underlying computations actually
+// ran: N coalesced requests move predictor_metric_runs_total by exactly
+// 1. Goroutine-safe; build with New.
 type Predictor struct {
-	eng     Engine
 	base    *machine.Config
 	workers int
 	world   World
@@ -176,20 +183,11 @@ func New(cfg Config) *Predictor {
 	}
 }
 
-// outcomeAgg folds per-layer hitKinds into the request-level outcome:
-// the coldest layer wins (cold > coalesced > cached).
-type outcomeAgg struct {
-	kind hitKind
-	any  bool
-}
-
-func (a *outcomeAgg) add(k hitKind) {
-	if !a.any {
-		a.kind, a.any = k, true
-		return
-	}
-	// hitMiss ("cold") dominates, then hitCoalesced, then hitSettled.
-	rank := func(k hitKind) int {
+// colder folds two outcomes into one: the coldest wins (cold >
+// coalesced > cached), so a request's outcome is its coldest layer's and
+// a ranking's its coldest entry's.
+func colder(a, b hitKind) hitKind {
+	heat := func(k hitKind) int {
 		switch k {
 		case hitMiss:
 			return 2
@@ -198,14 +196,11 @@ func (a *outcomeAgg) add(k hitKind) {
 		}
 		return 0
 	}
-	if rank(k) > rank(a.kind) {
-		a.kind = k
+	if heat(b) > heat(a) {
+		return b
 	}
+	return a
 }
-
-// Engine returns the predictor's compute core — the same Engine the
-// study harness and the CLI use directly.
-func (p *Predictor) Engine() Engine { return p.eng }
 
 // resolved is a validated request.
 type resolved struct {
@@ -251,17 +246,21 @@ func cellKey(tc apps.TestCase, procs int) string { return fmt.Sprintf("%s@%d", t
 // both under the Predictor's World. Cell and Observe are the world-aware
 // layers uncached: Predict and Rank memoize them, and the study calls
 // them directly under its own retry and checkpoint journal. The probe
-// layer needs no world; it is Engine.Probes.
+// and metric layers need no world; the study calls probes.MeasureContext
+// and Metric.PredictContext itself.
 func (p *Predictor) Cell(ctx context.Context, tc apps.TestCase, procs int) (Cell, error) {
 	app, err := tc.Instance(procs)
 	if err != nil {
 		return Cell{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	run, err := p.eng.Execute(ctx, p.world.runOn(p.base), app)
+	meter := obs.From(ctx).Meter()
+	meter.Counter("predictor_exec_runs_total").Inc()
+	run, err := simexec.ExecuteContext(ctx, p.world.runOn(p.base), app)
 	if err != nil {
 		return Cell{}, err
 	}
-	tr, err := p.eng.Trace(ctx, p.base, app)
+	meter.Counter("predictor_trace_runs_total").Inc()
+	tr, err := trace.CollectContext(ctx, p.base, app)
 	if err != nil {
 		return Cell{}, err
 	}
@@ -278,7 +277,8 @@ func (p *Predictor) Observe(ctx context.Context, tc apps.TestCase, procs int, ta
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	run, err := p.eng.Execute(ctx, p.world.runOn(target), app)
+	obs.From(ctx).Meter().Counter("predictor_exec_runs_total").Inc()
+	run, err := simexec.ExecuteContext(ctx, p.world.runOn(target), app)
 	if err != nil {
 		return 0, err
 	}
@@ -288,7 +288,8 @@ func (p *Predictor) Observe(ctx context.Context, tc apps.TestCase, procs int, ta
 // probesFor returns the machine's memoized probe suite.
 func (p *Predictor) probesFor(ctx context.Context, cfg *machine.Config) (*probes.Results, hitKind, error) {
 	v, kind, err := p.probeCache.get(ctx, cfg.Name, func(ctx context.Context) (any, error) {
-		return p.eng.Probes(ctx, cfg)
+		obs.From(ctx).Meter().Counter("predictor_probe_runs_total").Inc()
+		return probes.MeasureContext(ctx, cfg)
 	})
 	if err != nil {
 		return nil, kind, err
@@ -329,38 +330,47 @@ func (p *Predictor) observeFor(ctx context.Context, tc apps.TestCase, procs int,
 // Predict answers one request. Identical concurrent cold requests are
 // coalesced: the probe suites, the base run + trace, and the prediction
 // itself each run exactly once. The result's Outcome reports the
-// coldest cache layer the request touched.
+// coldest cache layer the request touched. A request is validated in
+// full before any layer computes.
 func (p *Predictor) Predict(ctx context.Context, req Request) (*Result, error) {
+	res, _, err := p.predict(ctx, req)
+	return res, err
+}
+
+// predict is Predict plus the request's outcome as a hitKind, for Rank
+// to fold.
+func (p *Predictor) predict(ctx context.Context, req Request) (*Result, hitKind, error) {
 	r, err := p.resolve(req.App, req.Case, req.Procs, req.Machine, req.MetricID)
 	if err != nil {
-		return nil, err
+		return nil, hitMiss, err
 	}
-	var agg outcomeAgg
+	outcome := hitSettled
 	basePr, kind, err := p.probesFor(ctx, p.base)
 	if err != nil {
-		return nil, err
+		return nil, hitMiss, err
 	}
-	agg.add(kind)
+	outcome = colder(outcome, kind)
 	targetPr, kind, err := p.probesFor(ctx, r.target)
 	if err != nil {
-		return nil, err
+		return nil, hitMiss, err
 	}
-	agg.add(kind)
+	outcome = colder(outcome, kind)
 	cell, kind, err := p.cellFor(ctx, r.tc, r.procs)
 	if err != nil {
-		return nil, err
+		return nil, hitMiss, err
 	}
-	agg.add(kind)
+	outcome = colder(outcome, kind)
 	predKey := fmt.Sprintf("%s@%d|%s|%d", r.tc.ID(), r.procs, r.target.Name, r.metric.ID)
 	v, kind, err := p.predictCache.get(ctx, predKey, func(ctx context.Context) (any, error) {
-		return p.eng.PredictMetric(ctx, r.metric, metrics.Context{
+		obs.From(ctx).Meter().Counter("predictor_metric_runs_total").Inc()
+		return r.metric.PredictContext(ctx, metrics.Context{
 			Trace: cell.Trace, Base: basePr, Target: targetPr, BaseSeconds: cell.BaseSeconds,
 		})
 	})
 	if err != nil {
-		return nil, err
+		return nil, hitMiss, err
 	}
-	agg.add(kind)
+	outcome = colder(outcome, kind)
 	res := &Result{
 		App: r.tc.Name, Case: r.tc.Case, Procs: r.procs, Machine: r.target.Name,
 		MetricID: r.metric.ID, MetricLabel: r.metric.Label(), MetricName: r.metric.Name,
@@ -371,9 +381,9 @@ func (p *Predictor) Predict(ctx context.Context, req Request) (*Result, error) {
 	if req.Observed {
 		o, kind, err := p.observeFor(ctx, r.tc, r.procs, r.target)
 		if err != nil {
-			return nil, err
+			return nil, hitMiss, err
 		}
-		agg.add(kind)
+		outcome = colder(outcome, kind)
 		if o.fits {
 			res.HasObserved = true
 			res.ObservedSeconds = o.seconds
@@ -381,9 +391,9 @@ func (p *Predictor) Predict(ctx context.Context, req Request) (*Result, error) {
 		}
 		res.Fits = o.fits
 	}
-	res.Outcome = agg.kind.String()
-	res.Cached = agg.kind.cached()
-	return res, nil
+	res.Outcome = outcome.String()
+	res.Cached = outcome.cached()
+	return res, outcome, nil
 }
 
 // Rank predicts the cell on every candidate machine — fanned out on the
@@ -408,19 +418,24 @@ func (p *Predictor) Rank(ctx context.Context, req RankRequest) (*Ranking, error)
 		}
 	}
 	entries := make([]*Result, len(names))
+	kinds := make([]hitKind, len(names))
 	err = par.ForEachIndexed(ctx, len(names), p.workers, "predictor", func(ctx context.Context, i int) error {
-		res, err := p.Predict(ctx, Request{
+		res, kind, err := p.predict(ctx, Request{
 			App: req.App, Case: req.Case, Procs: req.Procs,
 			Machine: names[i], MetricID: req.MetricID, Observed: req.Observed,
 		})
 		if err != nil {
 			return fmt.Errorf("rank %s: %w", names[i], err)
 		}
-		entries[i] = res
+		entries[i], kinds[i] = res, kind
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	outcome := hitSettled
+	for _, k := range kinds {
+		outcome = colder(outcome, k)
 	}
 	sort.SliceStable(entries, func(i, j int) bool {
 		if entries[i].PredictedSeconds < entries[j].PredictedSeconds {
@@ -434,7 +449,7 @@ func (p *Predictor) Rank(ctx context.Context, req RankRequest) (*Ranking, error)
 	return &Ranking{
 		App: r.tc.Name, Case: r.tc.Case, Procs: r.procs,
 		MetricID: r.metric.ID, MetricLabel: r.metric.Label(),
-		Entries: entries,
+		Entries: entries, Outcome: outcome.String(),
 	}, nil
 }
 

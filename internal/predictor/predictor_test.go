@@ -10,9 +10,13 @@ import (
 	"time"
 
 	"hpcmetrics/internal/apps"
+	"hpcmetrics/internal/faults"
 	"hpcmetrics/internal/machine"
 	"hpcmetrics/internal/metrics"
 	"hpcmetrics/internal/obs"
+	"hpcmetrics/internal/probes"
+	"hpcmetrics/internal/simexec"
+	"hpcmetrics/internal/trace"
 )
 
 // herdRequest is the cell every heavy test in this file predicts: the
@@ -23,7 +27,7 @@ var herdRequest = Request{App: "rfcth", Case: "standard", Procs: 16, Machine: ma
 // concurrent requests against cold caches must run every underlying
 // computation exactly once — one base execution, one trace, one metric
 // convolution, one probe suite per machine — counter-asserted through
-// the obs registry the Engine reports into.
+// the obs registry the Predictor's layers report into.
 func TestPredictCoalescesColdHerd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probes two machines and runs a base execution + trace")
@@ -134,10 +138,9 @@ func TestPredictCoalescesColdHerd(t *testing.T) {
 		t.Errorf("repeat request ran the metric again: predictor_metric_runs_total = %d", got)
 	}
 
-	// Parity with the CLI path: cmd/predict drives the same Engine
-	// methods directly (probe, execute, trace, predict); the facade's
-	// cached answer must match that computation bit for bit.
-	var eng Engine
+	// Parity with the packages: probing, executing, tracing and
+	// predicting by direct calls, with no caches, must give the facade's
+	// cached answer bit for bit.
 	base := machine.Base()
 	target, err := machine.Preset(herdRequest.Machine)
 	if err != nil {
@@ -151,19 +154,19 @@ func TestPredictCoalescesColdHerd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePr, err := eng.Probes(ctx, base)
+	basePr, err := probes.MeasureContext(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetPr, err := eng.Probes(ctx, target)
+	targetPr, err := probes.MeasureContext(ctx, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRun, err := eng.Execute(ctx, base, app)
+	baseRun, err := simexec.ExecuteContext(ctx, base, app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := eng.Trace(ctx, base, app)
+	tr, err := trace.CollectContext(ctx, base, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +174,51 @@ func TestPredictCoalescesColdHerd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := eng.PredictMetric(ctx, m, metrics.Context{
+	direct, err := m.PredictContext(ctx, metrics.Context{
 		Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseRun.Seconds,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(direct) != want {
-		t.Errorf("direct Engine computation %v differs from facade's cached %v", direct, res.PredictedSeconds)
+		t.Errorf("direct computation %v differs from facade's cached %v", direct, res.PredictedSeconds)
+	}
+}
+
+// TestPredictTooLargeTargetHasNoObservation: a job larger than the
+// target is a missing observation, not an error — the prediction is
+// still answered, like the paper's blank appendix cells.
+func TestPredictTooLargeTargetHasNoObservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("probes two machines and runs a base execution + trace")
+	}
+	res, err := New(Config{}).Predict(context.Background(), Request{
+		App: "rfcth", Procs: 129, Machine: machine.ARL690, MetricID: 9, Observed: true,
+	})
+	if err != nil {
+		t.Fatalf("too-large target reported as error: %v", err)
+	}
+	if res.Fits || res.HasObserved || res.ObservedSeconds != 0 {
+		t.Errorf("too-large target observed: %+v", res)
+	}
+	if res.PredictedSeconds <= 0 {
+		t.Errorf("too-large target got no prediction: %+v", res)
+	}
+}
+
+// TestPredictObservationErrorSurfaces: a ground-truth run that fails
+// for any reason but size must fail the request, not silently leave the
+// observation empty.
+func TestPredictObservationErrorSurfaces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("probes two machines and runs a base execution + trace")
+	}
+	in := faults.New(1, faults.Rule{Point: faults.PointExecBlock, Kind: faults.Permanent, Rate: 1, Match: herdRequest.Machine})
+	req := herdRequest
+	req.Observed = true
+	res, err := New(Config{}).Predict(in.Inject(context.Background()), req)
+	if !errors.Is(err, faults.ErrPermanent) {
+		t.Fatalf("Predict = %+v, %v; want an error wrapping faults.ErrPermanent", res, err)
 	}
 }
 
@@ -214,6 +254,18 @@ func TestRankOrdersFastestFirst(t *testing.T) {
 	}
 	if got := o.Metrics.Counter("predictor_metric_runs_total").Value(); got != int64(len(machines)) {
 		t.Errorf("rank ran %d metric predictions, want %d (one per machine)", got, len(machines))
+	}
+	if ranking.Outcome != "cold" {
+		t.Errorf("first ranking outcome %q, want cold", ranking.Outcome)
+	}
+	again, err := p.Rank(ctx, RankRequest{
+		App: "rfcth", Case: "standard", Procs: 16, MetricID: 1, Machines: machines,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Outcome != "cached" {
+		t.Errorf("repeat ranking outcome %q, want cached (every entry settled)", again.Outcome)
 	}
 }
 

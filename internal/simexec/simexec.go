@@ -113,7 +113,8 @@ func Execute(cfg *machine.Config, app *workload.App) (*Result, error) {
 // in-flight work. The context is consulted between basic blocks — the
 // unit of simulation cost — so cancellation takes effect within one
 // block's cache-stream sample. The same boundary is the
-// faults.PointExecBlock injection point, keyed by (machine, app).
+// faults.PointExecBlock injection point, keyed by (machine,
+// "app-case@procs").
 func ExecuteContext(ctx context.Context, cfg *machine.Config, app *workload.App) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "exec")
 	defer span.End()
@@ -138,12 +139,20 @@ func ExecuteContext(ctx context.Context, cfg *machine.Config, app *workload.App)
 
 	res := &Result{App: app.Name, Case: app.Case, Procs: app.Procs, Machine: cfg.Name}
 	hz := cfg.ClockGHz * 1e9
+	// The fault identity names the run down to its processor count, so a
+	// test case's cells keep separate burst counters. It is only built
+	// when an injector is listening: the fault-free path stays
+	// allocation-free.
+	var faultID string
+	if faults.From(ctx) != nil {
+		faultID = fmt.Sprintf("%s@%d", app.ID(), app.Procs)
+	}
 
 	for i := range app.Blocks {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("simexec: %s: %w", app.ID(), err)
 		}
-		if err := faults.Hit(ctx, faults.PointExecBlock, cfg.Name, app.ID()); err != nil {
+		if err := faults.Hit(ctx, faults.PointExecBlock, cfg.Name, faultID); err != nil {
 			return nil, fmt.Errorf("simexec: %s on %s: %w", app.ID(), cfg.Name, err)
 		}
 		blk := &app.Blocks[i]

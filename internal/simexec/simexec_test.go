@@ -1,12 +1,14 @@
 package simexec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"hpcmetrics/internal/access"
 	"hpcmetrics/internal/apps"
 	"hpcmetrics/internal/cpusim"
+	"hpcmetrics/internal/faults"
 	"hpcmetrics/internal/machine"
 	"hpcmetrics/internal/netsim"
 	"hpcmetrics/internal/workload"
@@ -68,6 +70,24 @@ func TestExecuteTooLarge(t *testing.T) {
 	_, err := Execute(cfg, testApp(256))
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestFaultBurstsArePerProcs: the fault identity names the processor
+// count, so a test case's cells keep separate burst counters. Sharing
+// one would let concurrent cells race for a burst's hits, and a chaos
+// run's faults would depend on scheduling.
+func TestFaultBurstsArePerProcs(t *testing.T) {
+	cfg := machine.MustPreset(machine.NAVO655)
+	in := faults.New(1, faults.Rule{Point: faults.PointExecBlock, Kind: faults.Transient, Rate: 1, Burst: 2})
+	ctx := in.Inject(context.Background())
+	for i := 0; i < 2; i++ {
+		if _, err := ExecuteContext(ctx, cfg, testApp(32)); !errors.Is(err, faults.ErrTransient) {
+			t.Fatalf("run %d at 32 procs: err = %v, want ErrTransient", i+1, err)
+		}
+	}
+	if _, err := ExecuteContext(ctx, cfg, testApp(64)); !errors.Is(err, faults.ErrTransient) {
+		t.Fatalf("first run at 64 procs: err = %v, want ErrTransient (its own burst)", err)
 	}
 }
 

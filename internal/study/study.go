@@ -345,11 +345,6 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	}
 	rp := opts.retryPolicy()
 	resumed := meter.Counter("study_checkpoint_resumed_total")
-	// The Predictor's layers compute every probe, cell and observation
-	// under the options' World; the study wraps each call in its own
-	// retry, journal and skip bookkeeping.
-	pred := predictor.New(predictor.Config{Workers: opts.Workers, World: opts.world()})
-
 	// Stage 1: probe all machines (base + targets), one pool job each.
 	// Probes are load-bearing for every later prediction, so a probe
 	// that fails after its retry budget is a clean study error, not a
@@ -367,7 +362,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		var pr *probes.Results
 		_, err := retry.Do(ctx, rp, "probe|"+name, func(ctx context.Context) error {
 			var err error
-			pr, err = pred.Engine().Probes(ctx, all[i])
+			pr, err = probes.MeasureContext(ctx, all[i])
 			return err
 		})
 		if err != nil {
@@ -392,6 +387,12 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	// Each cell is one pool job whose outcome is its checkpoint record;
 	// slots keep aggregation in paper order no matter which worker
 	// finishes first.
+	//
+	// The Predictor's layers compute every cell and observation under
+	// the options' World; the study wraps each call in its own retry,
+	// journal and skip bookkeeping. Probes and metrics need no World, so
+	// stages 1 and 3 call their packages directly.
+	pred := predictor.New(predictor.Config{Workers: opts.Workers, World: opts.world()})
 	var cases []apps.TestCase // cases[i] is res.Cells[i]'s test case
 	for _, tc := range apps.Registry() {
 		if !opts.WantsApp(tc.ID()) {
@@ -553,7 +554,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 					continue
 				}
 				t0 := predictLatency.StartTimer()
-				predicted, err := pred.Engine().PredictMetric(mctx, m, metrics.Context{
+				predicted, err := m.PredictContext(mctx, metrics.Context{
 					Trace:       res.Traces[key],
 					Base:        basePr,
 					Target:      res.Probes[name],

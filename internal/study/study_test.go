@@ -29,13 +29,15 @@ var (
 	sliceErr  error
 )
 
-// tracedSlice runs the sliceOptions study, traced, once per test binary:
-// TestStudySliceShort checks its spans and counters, TestPredictorParity
-// its numbers.
+// tracedSlice runs the sliceOptions study, traced and on four workers,
+// once per test binary: TestStudySliceShort checks its spans and
+// counters, TestPredictorParity its numbers, and TestParallelMatchesSequential
+// compares it with an untraced single-worker run.
 func tracedSlice(t *testing.T) (*Results, *obs.Obs) {
 	t.Helper()
 	sliceOnce.Do(func() {
 		opts := sliceOptions()
+		opts.Workers = 4
 		opts.Obs = obs.New()
 		sliceRes, sliceErr = Run(opts)
 		sliceObs = opts.Obs
@@ -359,25 +361,20 @@ func TestStudySkipReasons(t *testing.T) {
 }
 
 // TestParallelMatchesSequential pins the harness's determinism contract:
-// a single-worker run and a parallel run of the same slice are deeply
-// identical, so the Table 4 bytes cannot depend on scheduling.
+// an untraced single-worker run and the traced four-worker run of the
+// same slice are deeply identical, so the Table 4 bytes depend neither
+// on scheduling nor on tracing.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the slice study twice")
+		t.Skip("runs the slice study a second time")
 	}
 	seq := sliceOptions()
 	seq.Workers = 1
-	par := sliceOptions()
-	par.Workers = 4
-
 	seqRes, err := Run(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parRes, _ := tracedSlice(t)
 	if !reflect.DeepEqual(seqRes.Predictions, parRes.Predictions) {
 		t.Error("Predictions differ between Workers=1 and Workers=4")
 	}

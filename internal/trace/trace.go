@@ -135,11 +135,17 @@ func CollectContext(ctx context.Context, base *machine.Config, app *workload.App
 		Comm:       append([]netsim.Event(nil), app.Comm...),
 	}
 
+	// The fault identity is ("app-case@procs", block), built only when
+	// an injector is listening, as in simexec.
+	var faultID string
+	if faults.From(ctx) != nil {
+		faultID = fmt.Sprintf("%s@%d", app.ID(), app.Procs)
+	}
 	for i := range app.Blocks {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("trace: %s: %w", app.ID(), err)
 		}
-		if err := faults.Hit(ctx, faults.PointTraceBlock, app.ID(), app.Blocks[i].Name); err != nil {
+		if err := faults.Hit(ctx, faults.PointTraceBlock, faultID, app.Blocks[i].Name); err != nil {
 			return nil, fmt.Errorf("trace: %s/%s: %w", app.ID(), app.Blocks[i].Name, err)
 		}
 		bt, err := traceBlock(base, &app.Blocks[i])
