@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +36,11 @@ func main() {
 
 // run is the whole CLI, factored from main so tests can drive it with
 // arbitrary flags and capture both streams. Returns the process exit
-// code: 0 on success, 1 on runtime errors, 2 on usage errors.
+// code: 0 on success, 1 on runtime errors, 2 on usage errors — a flag
+// mistake, or a request the Predictor rejects as a bad request (an
+// unknown application, case or machine, a metric outside 1-9, a
+// processor count the base system cannot run), as predictd answers it
+// with 400 rather than 500.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -75,6 +80,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	req := hpcmetrics.PredictRequest{App: *appName, Case: *caseName, Procs: *procs, Machine: *target, Observed: true}
 	if err := predict(ctx, req, ids, stdout); err != nil {
 		fmt.Fprintln(stderr, "predict:", err)
+		if errors.Is(err, hpcmetrics.ErrBadPredictRequest) {
+			return 2
+		}
 		return 1
 	}
 	return 0

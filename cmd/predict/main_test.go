@@ -39,20 +39,24 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestBadRequestBeforeCompute: an invalid metric or an oversized
-// processor count is rejected as a bad request before any probe or run
+// TestBadRequestBeforeCompute: an invalid metric, an oversized
+// processor count, or an unknown application or machine is rejected as
+// a bad request — a usage error, exit 2 — before any probe or run
 // starts, so even an already-cancelled context reports the request
-// error rather than the cancellation.
+// error rather than the cancellation. A valid request under that
+// context fails as a runtime error, exit 1.
 func TestBadRequestBeforeCompute(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, args := range [][]string{
 		{"-app", "rfcth", "-target", "ARL_Opteron", "-metric", "10"},
 		{"-app", "rfcth", "-target", "ARL_Opteron", "-procs", "1409"},
+		{"-app", "nosuchapp", "-target", "ARL_Opteron"},
+		{"-app", "rfcth", "-target", "NoSuchMachine"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(ctx, args, &stdout, &stderr); code != 1 {
-			t.Errorf("%v: exit code %d, want 1", args, code)
+		if code := run(ctx, args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
 		}
 		if msg := stderr.String(); !strings.Contains(msg, "bad request") || strings.Contains(msg, "context canceled") {
 			t.Errorf("%v: stderr %q, want the bad-request message", args, msg)
@@ -60,6 +64,14 @@ func TestBadRequestBeforeCompute(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: printed %q before failing", args, stdout.String())
 		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run(ctx, []string{"-app", "rfcth", "-target", "ARL_Opteron"}, &stdout, &stderr); code != 1 {
+		t.Errorf("valid request under a cancelled context: exit code %d, want 1", code)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "context canceled") {
+		t.Errorf("valid request under a cancelled context: stderr %q, want the cancellation", msg)
 	}
 }
 

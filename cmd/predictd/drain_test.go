@@ -170,7 +170,7 @@ func TestServeDrainFlushesLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer spanFile.Close()
-	spans, err := obs.ReadJSONL(spanFile)
+	spans, err := obs.ReadJSONL[obs.SpanRecord](spanFile)
 	if err != nil {
 		t.Fatalf("span log did not survive the drain: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestServeDrainFlushesLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer accessFile.Close()
-	accs, err := obs.ReadAccessLog(accessFile)
+	accs, err := obs.ReadJSONL[obs.AccessRecord](accessFile)
 	if err != nil {
 		t.Fatalf("access log did not survive the drain: %v", err)
 	}

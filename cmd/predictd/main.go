@@ -109,9 +109,9 @@ func serve(ctx context.Context, opts serveOptions) (err error) {
 		// buffering spans for the life of the process.
 		o.Tracer.SetSink(obs.Discard{})
 	}
-	var access *obs.AccessLog
+	var access *obs.JSONLFile
 	if opts.accessPath != "" {
-		access, err = obs.OpenAccessLog(opts.accessPath, opts.logMaxBytes)
+		access, err = obs.OpenJSONLFile(opts.accessPath, opts.logMaxBytes)
 		if err != nil {
 			return errors.Join(err, spanFile.Close())
 		}

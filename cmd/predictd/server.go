@@ -94,12 +94,12 @@ type server struct {
 	g       *gate
 	cfg     serverConfig
 	mux     *http.ServeMux
-	access  *obs.AccessLog          // may be nil: access logging disabled
+	access  *obs.JSONLFile          // may be nil: access logging disabled
 	windows map[string]*obs.Rolling // per-endpoint latency windows, fixed at construction
 	started time.Time
 }
 
-func newServer(p *predictor.Predictor, o *obs.Obs, access *obs.AccessLog, cfg serverConfig) *server {
+func newServer(p *predictor.Predictor, o *obs.Obs, access *obs.JSONLFile, cfg serverConfig) *server {
 	window := cfg.statusWindow
 	if window <= 0 {
 		window = 60 * time.Second
@@ -238,7 +238,7 @@ func (s *server) traced(name string, h tracedHandler) http.Handler {
 		lat.ObserveSince(t0)
 		elapsed := time.Since(start)
 		s.windows[name].Observe(elapsed)
-		if err := s.access.Write(obs.AccessRecord{
+		if err := s.access.WriteRecord(obs.AccessRecord{
 			TimeNs:    time.Now().UnixNano(),
 			Trace:     root.TraceID(),
 			Endpoint:  name,

@@ -61,7 +61,7 @@ func runServe(args []string, requireOutcomes string) error {
 		return err
 	}
 	defer sf.Close()
-	spans, err := obs.ReadJSONL(sf)
+	spans, err := obs.ReadJSONL[obs.SpanRecord](sf)
 	if err != nil {
 		return err
 	}
@@ -70,7 +70,7 @@ func runServe(args []string, requireOutcomes string) error {
 		return err
 	}
 	defer af.Close()
-	accs, err := obs.ReadAccessLog(af)
+	accs, err := obs.ReadJSONL[obs.AccessRecord](af)
 	if err != nil {
 		return err
 	}
@@ -112,7 +112,7 @@ func run() error {
 		return err
 	}
 	defer f.Close()
-	recs, err := obs.ReadJSONL(f)
+	recs, err := obs.ReadJSONL[obs.SpanRecord](f)
 	if err != nil {
 		return err
 	}

@@ -66,6 +66,9 @@ type Mix struct {
 
 // Validate reports whether the mixture is a probability distribution.
 func (m Mix) Validate() error {
+	if err := finite(m.Unit, m.Short, m.Random); err != nil {
+		return err
+	}
 	if m.Unit < 0 || m.Short < 0 || m.Random < 0 {
 		return fmt.Errorf("access: negative mix component %+v", m)
 	}
@@ -75,16 +78,15 @@ func (m Mix) Validate() error {
 	return nil
 }
 
-// Fraction returns the mixture component for a class.
-func (m Mix) Fraction(c Class) float64 {
-	switch c {
-	case ClassUnit:
-		return m.Unit
-	case ClassShort:
-		return m.Short
-	default:
-		return m.Random
+// finite rejects NaN and ±Inf. Validation must refuse them first: every
+// comparison with NaN is false, so a NaN would pass each range check.
+func finite(xs ...float64) error {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("access: non-finite parameter %g", x)
+		}
 	}
+	return nil
 }
 
 // Ref is a single memory reference.

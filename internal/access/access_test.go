@@ -49,16 +49,26 @@ func TestGenerateSeedChangesRandomComponent(t *testing.T) {
 func TestGenerateRejectsBadSpecs(t *testing.T) {
 	bad := []StreamSpec{
 		{WorkingSetBytes: 0, Mix: Mix{Unit: 1}},
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.5}},                           // doesn't sum to 1
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 2, Random: -1}},                 // negative
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 1},        // stride 1 is not "short"
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 99},       // too long
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: 1.5},         // bad fraction
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: -2},           // negative spread
-		{WorkingSetBytes: -5, Mix: Mix{Unit: 1}},                               // negative ws
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.4, Short: 0.4, Random: 0.4}},  // sums to 1.2
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1.0000001, Random: -0.0000001}}, // tiny negative
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: 1e30},         // spread overflows int64
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.5}},                              // doesn't sum to 1
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 2, Random: -1}},                    // negative
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 1},           // stride 1 is not "short"
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 99},          // too long
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: 1.5},            // bad fraction
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: -2},              // negative spread
+		{WorkingSetBytes: -5, Mix: Mix{Unit: 1}},                                  // negative ws
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.4, Short: 0.4, Random: 0.4}},     // sums to 1.2
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1.0000001, Random: -0.0000001}},    // tiny negative
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: 1e30},            // spread overflows int64
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: math.Inf(1)},     // infinite spread
+		{WorkingSetBytes: 4096, Mix: Mix{Unit: 1}, HotFraction: 0.5, HotBytes: 4}, // hot region below one element
+		{WorkingSetBytes: 4096, Mix: Mix{Unit: 1}, HotBytes: 7},                   // ... even when unused
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: math.NaN()}},                       // NaN passes every comparison
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1, Short: math.NaN()}},
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1, Random: math.NaN()}},
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: math.Inf(1), Random: math.Inf(-1)}},
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: math.NaN()},
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: math.NaN()},
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, HotFraction: math.NaN()},
 	}
 	for i, spec := range bad {
 		if _, err := Generate(spec, 10); err == nil {
@@ -262,13 +272,6 @@ func TestStreamMatchesGenerate(t *testing.T) {
 	}
 }
 
-func TestMixFraction(t *testing.T) {
-	m := Mix{Unit: 0.5, Short: 0.3, Random: 0.2}
-	if m.Fraction(ClassUnit) != 0.5 || m.Fraction(ClassShort) != 0.3 || m.Fraction(ClassRandom) != 0.2 {
-		t.Fatal("Fraction wrong")
-	}
-}
-
 func TestGatherSpreadWidensFootprint(t *testing.T) {
 	narrow := StreamSpec{WorkingSetBytes: 1 << 20, Mix: Mix{Random: 1}, Seed: 4}
 	wide := narrow
@@ -279,4 +282,28 @@ func TestGatherSpreadWidensFootprint(t *testing.T) {
 		t.Fatalf("gather spread did not widen footprint: %d vs %d",
 			sumWide.WorkingSetBytes, sumNarrow.WorkingSetBytes)
 	}
+}
+
+func FuzzNewStream(f *testing.F) {
+	// The seed corpus lives in testdata/fuzz/FuzzNewStream: skeleton-like
+	// specs and the rejects, among them a sub-element hot region that once
+	// passed Validate and then divided by zero on the first hot reference.
+	f.Fuzz(func(t *testing.T, ws int64, unit, short, random float64, stride int64,
+		store, gather, hot float64, hotBytes int64, seed uint64) {
+		spec := StreamSpec{
+			WorkingSetBytes: ws, Mix: Mix{Unit: unit, Short: short, Random: random},
+			ShortStrideElems: stride, StoreFraction: store, GatherSpread: gather,
+			HotFraction: hot, HotBytes: hotBytes, Seed: seed,
+		}
+		if spec.Validate() != nil {
+			return
+		}
+		st, err := NewStream(spec)
+		if err != nil {
+			t.Fatalf("Validate accepted %+v, NewStream refused it: %v", spec, err)
+		}
+		for i := 0; i < 512; i++ {
+			st.Next()
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package access
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StreamSpec describes the reference stream one basic block emits.
 type StreamSpec struct {
@@ -24,18 +27,23 @@ type StreamSpec struct {
 	// cannot see it, which is one of the honest error sources of the
 	// study's methodology.
 	HotFraction float64
-	// HotBytes is the hot-region size; zero defaults to 16KB.
+	// HotBytes is the hot-region size; zero defaults to 16KB, and any
+	// other value must hold at least one element.
 	HotBytes int64
 	// Seed selects the deterministic stream instance.
 	Seed uint64
 }
 
-// Validate reports structural problems in the spec.
+// Validate reports structural problems in the spec. A spec it accepts
+// builds a generator that can draw any number of references.
 func (s StreamSpec) Validate() error {
 	if s.WorkingSetBytes < ElemBytes {
 		return fmt.Errorf("access: working set %d below one element", s.WorkingSetBytes)
 	}
 	if err := s.Mix.Validate(); err != nil {
+		return err
+	}
+	if err := finite(s.StoreFraction, s.GatherSpread, s.HotFraction); err != nil {
 		return err
 	}
 	if s.ShortStrideElems < 0 || s.ShortStrideElems == 1 || s.ShortStrideElems > MaxShortStride {
@@ -47,11 +55,16 @@ func (s StreamSpec) Validate() error {
 	if s.GatherSpread < 0 {
 		return fmt.Errorf("access: negative gather spread %g", s.GatherSpread)
 	}
+	// Every random draw indexes the spread region, so it must stay a
+	// positive int64: an absurd spread would wrap negative on conversion.
+	if float64(s.WorkingSetBytes/ElemBytes)*math.Max(s.GatherSpread, 1) > 1<<62 {
+		return fmt.Errorf("access: gather spread %g overflows the random region", s.GatherSpread)
+	}
 	if s.HotFraction < 0 || s.HotFraction >= 1 {
 		return fmt.Errorf("access: hot fraction %g outside [0,1)", s.HotFraction)
 	}
-	if s.HotBytes < 0 {
-		return fmt.Errorf("access: negative hot region %d", s.HotBytes)
+	if s.HotBytes < 0 || (s.HotBytes > 0 && s.HotBytes < ElemBytes) {
+		return fmt.Errorf("access: hot region %d bytes is neither 0 nor at least one element", s.HotBytes)
 	}
 	return nil
 }
@@ -90,21 +103,10 @@ func newGenerator(spec StreamSpec) (*generator, error) {
 		stride = 4
 	}
 	elems := spec.WorkingSetBytes / ElemBytes
-	spreadF := spec.GatherSpread
-	if spreadF < 1 {
-		spreadF = 1
-	}
-	// This is the error-returning boundary for the rng invariant: every
-	// random draw downstream indexes [0, spread), and rng.intn treats a
-	// non-positive bound as a programming error. Validate() already forces
-	// WorkingSetBytes >= ElemBytes (so elems >= 1), but an absurd
-	// GatherSpread can still push the region past int64 and wrap negative
-	// on conversion; refuse it here rather than panicking mid-stream.
-	spreadElems := float64(elems) * spreadF
-	if spreadElems > float64(1<<62) {
-		return nil, fmt.Errorf("access: gather spread %g overflows the random region", spec.GatherSpread)
-	}
-	spread := int64(spreadElems)
+	// Validate keeps the spread region a positive int64, so rng.intn,
+	// which treats a non-positive bound as a programming error, never
+	// sees one.
+	spread := int64(float64(elems) * math.Max(spec.GatherSpread, 1))
 	if spread < elems {
 		spread = elems
 	}

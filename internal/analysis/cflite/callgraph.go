@@ -236,12 +236,6 @@ type CallGraph struct {
 	consensusWhy map[*types.Func]string
 }
 
-// NodeFor returns the node calls through obj resolve to: the declaring
-// node for a package function, or the bound target for a function-typed
-// variable, field, or parameter with a unique static binding. Nil if
-// unresolved.
-func (g *CallGraph) NodeFor(obj types.Object) *FuncNode { return g.byObj[obj] }
-
 // BuildCallGraph constructs the package call graph over files and
 // records each function's direct observations. exts supplies the
 // module-level lookups (cross-package facts, interface implementors);

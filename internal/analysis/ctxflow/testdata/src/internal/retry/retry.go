@@ -30,15 +30,15 @@ func do(ctx context.Context, attempts int, op func(context.Context) error) error
 		if err = op(ctx); err == nil {
 			return nil
 		}
-		if serr := sleepCtx(ctx, time.Millisecond); serr != nil {
+		if serr := Sleep(ctx, time.Millisecond); serr != nil {
 			return serr
 		}
 	}
 	return err
 }
 
-// sleepCtx is the cancellable backoff: unconditionally selects on Done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// Sleep is the cancellable backoff: unconditionally selects on Done.
+func Sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -221,13 +221,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportfProvenance is Reportf for cross-package findings: provenance
-// names the package/function whose exported fact is the evidence (it
-// rides along in cmd/hpclint's -json output).
-func (p *Pass) ReportfProvenance(pos token.Pos, provenance, format string, args ...any) {
-	p.ReportfVia(pos, provenance, "", format, args...)
-}
-
 // ReportfVia is the fully attributed report: provenance names the
 // exported fact the finding rests on, and devirt records the interface
 // dispatch the call edge was resolved through ("(pkg.Doer).Do →

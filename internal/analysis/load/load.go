@@ -129,15 +129,6 @@ func Expand(patterns []string) ([]string, error) {
 	return dirs, nil
 }
 
-// ModuleRoot returns the enclosing module's directory, discovering it
-// from dir on first use (the same discovery Load performs).
-func (l *Loader) ModuleRoot(dir string) string {
-	if abs, err := filepath.Abs(dir); err == nil {
-		l.findModule(abs)
-	}
-	return l.moduleRoot
-}
-
 // SortDeps orders package directories so that every module-internal
 // dependency precedes its dependents (a topological order over the
 // import edges between the given directories; ties keep the input's

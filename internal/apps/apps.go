@@ -38,8 +38,8 @@ type TestCase struct {
 	build     func(procs int) *workload.App
 }
 
-// ID returns the "name-case" identifier.
-func (tc TestCase) ID() string { return tc.Name + "-" + tc.Case }
+// ID returns the test case's workload.AppID.
+func (tc TestCase) ID() string { return workload.AppID(tc.Name, tc.Case) }
 
 // DefaultProcs picks the middle registered CPU count — the paper's usual
 // reporting point — whatever the list's length, and errors cleanly when a

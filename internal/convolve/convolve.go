@@ -7,7 +7,8 @@
 // target machine's probe results (HPL, STREAM, GUPS, MAPS curves,
 // ENHANCED MAPS curves, NETBENCH). For every basic block it divides
 // operation counts by the corresponding operation rates, combines the
-// per-type times with an overlap model, and sums over blocks; a network
+// per-type times with cpusim.Overlap (the executor's own overlap rule),
+// and sums over blocks; a network
 // term prices the traced MPI events from NETBENCH's latency and bandwidth.
 //
 // Which rates the convolver may use is the study's independent variable:
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"math"
 
+	"hpcmetrics/internal/cpusim"
 	"hpcmetrics/internal/netsim"
 	"hpcmetrics/internal/obs"
 	"hpcmetrics/internal/probes"
@@ -177,23 +179,13 @@ func predictBlock(bt *trace.BlockTrace, pr *probes.Results, opts Options) (Block
 		return BlockPrediction{}, fmt.Errorf("convolve: unknown memory model %d", opts.Memory)
 	}
 
-	seconds := combineOverlap(fpSeconds, memSeconds, pr.OverlapFraction)
+	seconds := cpusim.Overlap(fpSeconds, memSeconds, pr.OverlapFraction)
 	return BlockPrediction{
 		Name:       bt.Name,
 		FPSeconds:  fpSeconds,
 		MemSeconds: memSeconds,
 		Seconds:    seconds,
 	}, nil
-}
-
-// combineOverlap matches the executor's formulation: the longer component
-// shows fully, the shorter hides by the machine's overlap capability.
-func combineOverlap(a, b, overlap float64) float64 {
-	longer, shorter := a, b
-	if b > a {
-		longer, shorter = b, a
-	}
-	return longer + (1-overlap)*shorter
 }
 
 // commTime prices the traced MPI events with NETBENCH's two parameters —

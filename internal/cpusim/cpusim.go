@@ -108,15 +108,15 @@ func Time(cfg *machine.Config, w Work) (Result, error) {
 	}, nil
 }
 
-// FlopRate returns the effective floating-point rate (FLOP/s) the block
-// sustains on the machine, ignoring memory time.
-func FlopRate(cfg *machine.Config, w Work) (float64, error) {
-	res, err := Time(cfg, w)
-	if err != nil {
-		return 0, err
+// Overlap merges a block's compute and memory time, given in the same
+// unit (cycles or seconds): the longer of a and b always shows, and
+// fraction of the shorter hides beneath it according to the core's
+// ability to overlap independent work. The ground-truth executor, the
+// probes and the convolver all price a block by this one rule.
+func Overlap(a, b, fraction float64) float64 {
+	longer, shorter := a, b
+	if b > a {
+		longer, shorter = b, a
 	}
-	if res.Cycles == 0 {
-		return 0, nil
-	}
-	return w.Flops / res.Cycles * cfg.ClockGHz * 1e9, nil
+	return longer + (1-fraction)*shorter
 }

@@ -68,16 +68,32 @@ func TestFlopRatePeaksForParallelBlock(t *testing.T) {
 		cfg := machine.MustPreset(name)
 		// Pure FP block with no dependencies and little issue overhead
 		// should approach the machine peak.
-		rate, err := FlopRate(cfg, Work{Flops: 100})
+		res, err := Time(cfg, Work{Flops: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rate := 100 / res.Cycles * cfg.ClockGHz * 1e9
 		peak := cfg.PeakGFlops() * 1e9
 		if rate > peak*1.0001 {
 			t.Errorf("%s: rate %g exceeds peak %g", name, rate, peak)
 		}
 		if rate < peak*0.5 {
 			t.Errorf("%s: pure FP block rate %g far below peak %g", name, rate, peak)
+		}
+	}
+}
+
+func TestOverlap(t *testing.T) {
+	cases := []struct{ a, b, fraction, want float64 }{
+		{3, 1, 0, 4},      // nothing hides: the sum
+		{3, 1, 1, 3},      // everything hides: the longer
+		{1, 3, 1, 3},      // the operand order does not matter
+		{2, 4, 0.25, 5.5}, // the longer plus 3/4 of the shorter
+		{0, 0, 0.5, 0},
+	}
+	for _, c := range cases {
+		if got := Overlap(c.a, c.b, c.fraction); got != c.want {
+			t.Errorf("Overlap(%g, %g, %g) = %g, want %g", c.a, c.b, c.fraction, got, c.want)
 		}
 	}
 }

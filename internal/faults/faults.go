@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"hpcmetrics/internal/obs"
+	"hpcmetrics/internal/retry"
 )
 
 // Kind is a class of injected fault.
@@ -244,7 +245,7 @@ func (in *Injector) hit(ctx context.Context, point, site, sub string) error {
 		case Stall:
 			if n <= burst {
 				in.record(ctx, Stall)
-				if err := sleepCtx(ctx, r.Stall); err != nil {
+				if err := retry.Sleep(ctx, r.Stall); err != nil {
 					return err
 				}
 			}
@@ -305,21 +306,6 @@ func (in *Injector) record(ctx context.Context, k Kind) {
 	meter := obs.From(ctx).Meter()
 	meter.Counter("faults_injected_total").Inc()
 	meter.Counter("faults_injected_" + k.String() + "_total").Inc()
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // ParseRules parses the -faults CLI grammar: comma-separated rules of

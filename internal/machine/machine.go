@@ -181,9 +181,6 @@ type Config struct {
 	Net Network
 }
 
-// CycleNs returns the duration of one processor cycle in nanoseconds.
-func (c *Config) CycleNs() float64 { return 1.0 / c.ClockGHz }
-
 // PeakGFlops returns the peak floating-point rate in GFLOP/s per processor.
 func (c *Config) PeakGFlops() float64 { return c.ClockGHz * c.FPPerCycle }
 
@@ -239,12 +236,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine %s: %w", c.Name, err)
 	}
 	return nil
-}
-
-// Nodes returns the number of nodes implied by TotalProcs and CoresPerNode,
-// rounded up.
-func (c *Config) Nodes() int {
-	return (c.TotalProcs + c.CoresPerNode - 1) / c.CoresPerNode
 }
 
 // Clone returns a deep copy of the configuration, so presets can be

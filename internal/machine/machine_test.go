@@ -82,24 +82,6 @@ func TestPeakGFlops(t *testing.T) {
 	}
 }
 
-func TestCycleNs(t *testing.T) {
-	cfg := MustPreset(ASCSC45) // 1 GHz
-	if got := cfg.CycleNs(); got != 1.0 {
-		t.Errorf("1 GHz cycle = %g ns, want 1", got)
-	}
-}
-
-func TestNodes(t *testing.T) {
-	cfg := MustPreset(ARLXeon) // 256 procs, 2 cores/node
-	if got := cfg.Nodes(); got != 128 {
-		t.Errorf("nodes = %d, want 128", got)
-	}
-	cfg.TotalProcs = 257
-	if got := cfg.Nodes(); got != 129 {
-		t.Errorf("nodes (round up) = %d, want 129", got)
-	}
-}
-
 func TestCacheSets(t *testing.T) {
 	l := CacheLevel{SizeBytes: 64 * kb, LineBytes: 64, Assoc: 2}
 	if got := l.Sets(); got != 512 {

@@ -68,14 +68,6 @@ type Stats struct {
 	TLBMisses int64
 }
 
-// MissRate returns the fraction of references served by main memory.
-func (s Stats) MissRate() float64 {
-	if s.Refs == 0 {
-		return 0
-	}
-	return float64(s.ServedBy[len(s.ServedBy)-1]) / float64(s.Refs)
-}
-
 // Simulator drives one processor's memory hierarchy.
 type Simulator struct {
 	cfg    *machine.Config

@@ -63,7 +63,6 @@ type Event struct {
 
 // Model prices communication for a job of P ranks on a machine.
 type Model struct {
-	cfg   *machine.Config
 	procs int
 
 	latency  float64 // seconds
@@ -101,7 +100,6 @@ func New(cfg *machine.Config, procs int) (*Model, error) {
 	effBW := perNIC / (1 + net.ContentionBeta*(streams-1))
 
 	return &Model{
-		cfg:      cfg,
 		procs:    procs,
 		latency:  net.LatencyUs * 1e-6,
 		overhead: net.OverheadUs * 1e-6,
@@ -109,16 +107,6 @@ func New(cfg *machine.Config, procs int) (*Model, error) {
 		stages:   math.Ceil(math.Log2(float64(procs))),
 	}, nil
 }
-
-// Procs returns the rank count the model was built for.
-func (m *Model) Procs() int { return m.procs }
-
-// EffectiveBandwidth returns the per-rank bandwidth after NIC contention,
-// bytes/second.
-func (m *Model) EffectiveBandwidth() float64 { return m.effBW }
-
-// Latency returns the small-message end-to-end latency in seconds.
-func (m *Model) Latency() float64 { return m.latency }
 
 // PointToPoint returns the time for one matched message of the given size.
 // Intra-node messages on multi-core nodes would be cheaper; the model

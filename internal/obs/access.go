@@ -1,16 +1,9 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"strings"
-)
-
 // AccessRecord is one served request in the structured access log: the
 // operational view of a request, joinable against the span log by trace
-// ID. One JSON line per request.
+// ID. One JSON line per request, written by a JSONLFile and read back
+// by ReadJSONL.
 type AccessRecord struct {
 	// TimeNs is the wall-clock completion time (Unix nanoseconds) — the
 	// only wall timestamp in the pair of logs; span timestamps are
@@ -37,60 +30,4 @@ type AccessRecord struct {
 	Shed string `json:"shed,omitempty"`
 	// Bytes is the response body size in bytes (0 for a 304).
 	Bytes int64 `json:"bytes"`
-}
-
-// AccessLog streams AccessRecords to a rotating JSONL file. A nil
-// *AccessLog drops records, so the disabled path is one nil check.
-type AccessLog struct {
-	file *JSONLFile
-}
-
-// OpenAccessLog creates (truncating) a rotating access log at path;
-// maxBytes <= 0 disables rotation.
-func OpenAccessLog(path string, maxBytes int64) (*AccessLog, error) {
-	f, err := OpenJSONLFile(path, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &AccessLog{file: f}, nil
-}
-
-// Write appends one record. Nil-safe.
-func (l *AccessLog) Write(rec AccessRecord) error {
-	if l == nil {
-		return nil
-	}
-	return l.file.WriteRecord(rec)
-}
-
-// Close flushes and closes the log. Nil-safe.
-func (l *AccessLog) Close() error {
-	if l == nil {
-		return nil
-	}
-	return l.file.Close()
-}
-
-// ReadAccessLog parses an access log produced by AccessLog.Write. Blank
-// lines are skipped; any other malformed line is an error, so a torn
-// tail is detected rather than silently dropped.
-func ReadAccessLog(r io.Reader) ([]AccessRecord, error) {
-	var out []AccessRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec AccessRecord
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("access log line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

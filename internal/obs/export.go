@@ -30,10 +30,16 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a span log produced by WriteJSONL. Blank lines are
-// skipped; any other malformed line is an error.
-func ReadJSONL(r io.Reader) ([]SpanRecord, error) {
-	var out []SpanRecord
+// ReadJSONL parses a log of T records, one JSON object per line: a span
+// log (from WriteJSONL or a JSONLFile span sink) or an access log. Blank
+// lines are skipped; any other malformed line is an error naming the log
+// and the line, so a torn tail is detected rather than silently dropped.
+func ReadJSONL[T SpanRecord | AccessRecord](r io.Reader) ([]T, error) {
+	kind := "span log"
+	if _, ok := any(*new(T)).(AccessRecord); ok {
+		kind = "access log"
+	}
+	var out []T
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for line := 1; sc.Scan(); line++ {
@@ -41,9 +47,9 @@ func ReadJSONL(r io.Reader) ([]SpanRecord, error) {
 		if text == "" {
 			continue
 		}
-		var rec SpanRecord
+		var rec T
 		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("span log line %d: %w", line, err)
+			return nil, fmt.Errorf("%s line %d: %w", kind, line, err)
 		}
 		out = append(out, rec)
 	}

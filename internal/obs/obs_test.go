@@ -145,7 +145,7 @@ func TestExporterUnderConcurrentWrites(t *testing.T) {
 		if err := o.Tracer.WriteJSONL(&buf); err != nil {
 			t.Fatalf("WriteJSONL during concurrent span ends: %v", err)
 		}
-		if _, err := ReadJSONL(&buf); err != nil {
+		if _, err := ReadJSONL[SpanRecord](&buf); err != nil {
 			t.Fatalf("ReadJSONL of concurrent snapshot: %v", err)
 		}
 	}
@@ -298,7 +298,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := o.Tracer.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := ReadJSONL[SpanRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +317,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"id\":1}\nnot json\n")); err == nil {
-		t.Fatal("want error for malformed span log line")
+	_, err := ReadJSONL[SpanRecord](strings.NewReader("{\"id\":1}\nnot json\n"))
+	if err == nil || !strings.HasPrefix(err.Error(), "span log line 2:") {
+		t.Fatalf("malformed span log line read back as %v, want a span log line 2 error", err)
 	}
 }
 

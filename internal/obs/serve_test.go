@@ -152,8 +152,8 @@ func TestJSONLFileRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Rotations() < 1 {
-		t.Error("no rotation after exceeding maxBytes")
+	if _, err := os.Stat(path + ".1"); err != nil {
+		t.Errorf("no rotation after exceeding maxBytes: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestJSONLFileRotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := ReadJSONL(g)
+		recs, err := ReadJSONL[SpanRecord](g)
 		g.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
@@ -194,12 +194,12 @@ func TestJSONLFileRotation(t *testing.T) {
 func TestAccessLogRoundTripAndTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "access.jsonl")
-	l, err := OpenAccessLog(path, 0)
+	l, err := OpenJSONLFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := AccessRecord{TimeNs: 42, Trace: "abc", Endpoint: "predict", Status: 200, LatencyNs: 7, Outcome: "cold", Bytes: 100}
-	if err := l.Write(want); err != nil {
+	if err := l.WriteRecord(want); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -209,7 +209,7 @@ func TestAccessLogRoundTripAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAccessLog(f)
+	recs, err := ReadJSONL[AccessRecord](f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -219,17 +219,18 @@ func TestAccessLogRoundTripAndTornTail(t *testing.T) {
 	}
 
 	// A torn tail (half a JSON line) is an error, not a silent drop.
-	if _, err := ReadAccessLog(strings.NewReader(`{"t_ns":1,"trace":"abc","endpoint":"pre`)); err == nil {
-		t.Error("torn tail read back without error")
+	_, err = ReadJSONL[AccessRecord](strings.NewReader(`{"t_ns":1,"trace":"abc","endpoint":"pre`))
+	if err == nil || !strings.HasPrefix(err.Error(), "access log line 1:") {
+		t.Errorf("torn tail read back as %v, want an access log line 1 error", err)
 	}
 
-	// Nil log drops records without error.
-	var nilLog *AccessLog
-	if err := nilLog.Write(want); err != nil {
-		t.Errorf("nil AccessLog.Write = %v", err)
+	// A nil log drops records without error.
+	var nilLog *JSONLFile
+	if err := nilLog.WriteRecord(want); err != nil {
+		t.Errorf("nil JSONLFile.WriteRecord = %v", err)
 	}
 	if err := nilLog.Close(); err != nil {
-		t.Errorf("nil AccessLog.Close = %v", err)
+		t.Errorf("nil JSONLFile.Close = %v", err)
 	}
 }
 

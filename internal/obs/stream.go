@@ -21,14 +21,13 @@ import (
 // previous rotation) and a fresh file is started — a server under
 // sustained load keeps at most two generations on disk.
 type JSONLFile struct {
-	mu        sync.Mutex
-	path      string        // guarded by mu
-	maxBytes  int64         // guarded by mu; <= 0 disables rotation
-	f         *os.File      // guarded by mu
-	w         *bufio.Writer // guarded by mu
-	size      int64         // guarded by mu
-	rotations int64         // guarded by mu
-	closed    bool          // guarded by mu
+	mu       sync.Mutex
+	path     string        // guarded by mu
+	maxBytes int64         // guarded by mu; <= 0 disables rotation
+	f        *os.File      // guarded by mu
+	w        *bufio.Writer // guarded by mu
+	size     int64         // guarded by mu
+	closed   bool          // guarded by mu
 }
 
 // OpenJSONLFile creates (truncating) path for streaming records.
@@ -82,23 +81,12 @@ func (l *JSONLFile) WriteRecord(v any) error {
 		l.f = f
 		l.w = bufio.NewWriter(f)
 		l.size = 0
-		l.rotations++
 	}
 	if _, err := l.w.Write(data); err != nil {
 		return err
 	}
 	l.size += int64(len(data))
 	return l.w.Flush()
-}
-
-// Rotations reports how many times the log has rolled over; nil reads 0.
-func (l *JSONLFile) Rotations() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rotations
 }
 
 // Close flushes and closes the current file. Nil-safe and idempotent.

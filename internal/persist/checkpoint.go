@@ -89,7 +89,6 @@ type Checkpoint struct {
 	data    []byte         // guarded by mu; the serialized journal
 	records []CellRecord   // guarded by mu
 	index   map[string]int // guarded by mu; stage|key → records index
-	dropped int            // guarded by mu; 1 if open truncated a bad tail
 }
 
 // CreateCheckpoint starts a fresh journal at path, replacing any
@@ -151,9 +150,9 @@ func scanJournal(raw []byte) (journalScan, error) {
 // OpenCheckpoint loads the journal at path for resuming. A missing file
 // starts a fresh journal; a header with the wrong format, version, or
 // tag is an error; a torn or corrupt record truncates the journal back
-// to its good prefix (the file is rewritten clean). Dropped reports
-// whether that happened. Use Inspect to triage a journal — including
-// telling a torn tail from mid-file corruption — without rewriting it.
+// to its good prefix (the file is rewritten clean). Use Inspect to
+// triage a journal — including telling a torn tail from mid-file
+// corruption — without rewriting it.
 func OpenCheckpoint(path, tag string) (*Checkpoint, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -189,17 +188,15 @@ func OpenCheckpoint(path, tag string) (*Checkpoint, error) {
 		index[rec.Stage+"|"+rec.Key] = len(records)
 		records = append(records, rec)
 	}
-	var dropped int
 	if scan.badLine > 0 {
 		// Torn tail or flipped bits: everything from the first bad line
 		// on is untrustworthy. Rewrite the journal back to its good
 		// prefix so the corruption cannot resurface.
-		dropped = 1
 		if err := writeAtomic(path, scan.goodData); err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
 	}
-	return &Checkpoint{path: path, tag: tag, data: scan.goodData, records: records, index: index, dropped: dropped}, nil
+	return &Checkpoint{path: path, tag: tag, data: scan.goodData, records: records, index: index}, nil
 }
 
 // decodeRecord parses one journal line, verifying its checksum.
@@ -270,37 +267,6 @@ func (c *Checkpoint) Lookup(stage, key string) (CellRecord, bool) {
 		return CellRecord{}, false
 	}
 	return c.records[i], true
-}
-
-// Len reports how many units are journaled.
-func (c *Checkpoint) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.records)
-}
-
-// Dropped reports whether OpenCheckpoint truncated a torn or corrupt
-// journal back to its good prefix: 1 if it did, 0 if the journal was
-// clean. It counts truncations, not lines — a truncation discards the
-// first bad line and every line after it.
-func (c *Checkpoint) Dropped() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
-// Path returns the journal's file path, or "" for a nil checkpoint.
-func (c *Checkpoint) Path() string {
-	if c == nil {
-		return ""
-	}
-	return c.path
 }
 
 // JournalStatus classifies a journal's integrity for triage.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,20 @@ func mustAppend(t *testing.T, c *Checkpoint, rec CellRecord) {
 	if err := c.Append(rec); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustInspect inspects the journal at path and checks its status and
+// trusted record count.
+func mustInspect(t *testing.T, path string, status JournalStatus, records int) *JournalInfo {
+	t.Helper()
+	info, err := Inspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status != status || info.Records != records {
+		t.Fatalf("Inspect = %s with %d records, want %s with %d", info.Status, info.Records, status, records)
+	}
+	return info
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -39,8 +54,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 2 || r.Dropped() != 0 {
-		t.Fatalf("reopened Len=%d Dropped=%d, want 2, 0", r.Len(), r.Dropped())
+	mustInspect(t, path, JournalClean, 2)
+	if _, ok := r.Lookup(StageProbe, "ARL_Opteron"); !ok {
+		t.Error("probe record missing after reopen")
 	}
 	rec, ok := r.Lookup(StageCell, "avus-standard@64")
 	if !ok {
@@ -78,13 +94,14 @@ func TestCheckpointTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if info := mustInspect(t, path, JournalTornTail, 1); info.BadLine != 3 {
+		t.Fatalf("torn tail at line %d, want 3", info.BadLine)
+	}
 	r, err := OpenCheckpoint(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 1 || r.Dropped() != 1 {
-		t.Fatalf("Len=%d Dropped=%d, want 1, 1", r.Len(), r.Dropped())
-	}
+	mustInspect(t, path, JournalClean, 1)
 	if _, ok := r.Lookup(StageProbe, "good"); !ok {
 		t.Error("good prefix record lost")
 	}
@@ -122,12 +139,16 @@ func TestCheckpointBadChecksumDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if info := mustInspect(t, path, JournalCorrupt, 1); info.BadLine != 3 || info.Stranded != 1 {
+		t.Fatalf("corruption at line %d with %d stranded, want line 3 and 1", info.BadLine, info.Stranded)
+	}
 	r, err := OpenCheckpoint(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 1 || r.Dropped() != 1 {
-		t.Fatalf("Len=%d Dropped=%d, want 1 kept and the rest dropped", r.Len(), r.Dropped())
+	mustInspect(t, path, JournalClean, 1) // 1 kept, the rest dropped
+	if _, ok := r.Lookup(StageProbe, "first"); !ok {
+		t.Error("good prefix record lost")
 	}
 	if _, ok := r.Lookup(StageCell, "third"); ok {
 		t.Error("record after the corrupt line survived; trust must end at the first bad line")
@@ -173,26 +194,24 @@ func TestCheckpointHeaderGuards(t *testing.T) {
 	})
 	t.Run("missing-file-creates", func(t *testing.T) {
 		path := ckptPath(t)
-		r, err := OpenCheckpoint(path, "t")
-		if err != nil || r.Len() != 0 {
-			t.Fatalf("OpenCheckpoint on missing file = (%v, Len %d), want fresh journal", err, r.Len())
+		if _, err := OpenCheckpoint(path, "t"); err != nil {
+			t.Fatalf("OpenCheckpoint on missing file = %v, want fresh journal", err)
 		}
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("fresh journal not written: %v", err)
+		if info := mustInspect(t, path, JournalClean, 0); info.Tag != "t" {
+			t.Errorf("fresh journal tag = %q, want %q", info.Tag, "t")
 		}
 	})
 }
 
 func TestCheckpointDuplicateFirstWins(t *testing.T) {
-	c, err := CreateCheckpoint(ckptPath(t), "")
+	first := ckptPath(t)
+	c, err := CreateCheckpoint(first, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, c, CellRecord{Stage: StageCell, Key: "k", BaseSeconds: 1})
 	mustAppend(t, c, CellRecord{Stage: StageCell, Key: "k", BaseSeconds: 2})
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after duplicate append, want 1", c.Len())
-	}
+	mustInspect(t, first, JournalClean, 1) // the duplicate was not written
 	rec, _ := c.Lookup(StageCell, "k")
 	if rec.BaseSeconds != 1 {
 		t.Errorf("duplicate append replaced the first record: %+v", rec)
@@ -221,9 +240,6 @@ func TestCheckpointDuplicateFirstWins(t *testing.T) {
 	r, err := OpenCheckpoint(path, "")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d after reopening a duplicate, want 1", r.Len())
 	}
 	if rec, _ := r.Lookup(StageCell, "k"); rec.BaseSeconds != 1 {
 		t.Errorf("reopen let the later duplicate win: %+v", rec)
@@ -258,13 +274,17 @@ func TestCheckpointConcurrentAppendAndOpen(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				rc, err := OpenCheckpoint(path, "race")
+				info, err := Inspect(path)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if rc.Dropped() != 0 {
-					t.Errorf("concurrent reader saw %d corrupt lines; atomic rename must prevent torn reads", rc.Dropped())
+				if info.Status != JournalClean {
+					t.Errorf("concurrent reader saw a %s journal (line %d); atomic rename must prevent torn reads", info.Status, info.BadLine)
+					return
+				}
+				if _, err := OpenCheckpoint(path, "race"); err != nil {
+					t.Error(err)
 					return
 				}
 			}
@@ -276,8 +296,13 @@ func TestCheckpointConcurrentAppendAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Len() != 40 || final.Dropped() != 0 {
-		t.Errorf("final journal Len=%d Dropped=%d, want 40 distinct keys, 0 dropped", final.Len(), final.Dropped())
+	mustInspect(t, path, JournalClean, 40) // 40 distinct keys, none dropped
+	for w := 0; w < 4; w++ {
+		for i := 0; i < 10; i++ {
+			if _, ok := final.Lookup(StageCell, string(rune('a'+w))+"-"+string(rune('0'+i))); !ok {
+				t.Errorf("final journal lost writer %d's key %d", w, i)
+			}
+		}
 	}
 }
 
@@ -313,9 +338,6 @@ func TestCheckpointNilSafe(t *testing.T) {
 	}
 	if _, ok := c.Lookup(StageCell, "k"); ok {
 		t.Error("nil Lookup found a record")
-	}
-	if c.Len() != 0 || c.Dropped() != 0 || c.Path() != "" {
-		t.Error("nil accessors must read zero values")
 	}
 }
 
@@ -443,9 +465,10 @@ func TestInspectNotACheckpoint(t *testing.T) {
 }
 
 // FuzzOpenCheckpoint feeds arbitrary bytes to the journal reader. Neither
-// Inspect nor OpenCheckpoint may panic; a journal with a valid header
-// reopens with one record per distinct trusted key, and the file it
-// leaves behind inspects clean.
+// Inspect nor OpenCheckpoint may panic; Inspect reports a bad line where
+// the scan found one; a journal with a valid header reopens with the
+// first record of every trusted key, and the file it leaves behind
+// inspects clean with every trusted record.
 func FuzzOpenCheckpoint(f *testing.F) {
 	// The seed corpus lives in testdata/fuzz/FuzzOpenCheckpoint: a clean
 	// journal, a torn tail, mid-file corruption, a duplicate key, junk.
@@ -473,19 +496,25 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		if info.Records != len(scan.records) {
 			t.Fatalf("Inspect Records=%d, scan trusted %d", info.Records, len(scan.records))
 		}
-		keys := make(map[string]bool)
-		for _, rec := range scan.records {
-			keys[rec.Stage+"|"+rec.Key] = true
+		if info.BadLine != scan.badLine || (info.Status == JournalClean) != (scan.badLine == 0) {
+			t.Fatalf("Inspect = %s at line %d, scan broke at line %d", info.Status, info.BadLine, scan.badLine)
 		}
-		if c.Len() != len(keys) {
-			t.Fatalf("reopened Len=%d, want %d distinct trusted keys", c.Len(), len(keys))
+		seen := make(map[string]bool)
+		for _, rec := range scan.records {
+			if seen[rec.Stage+"|"+rec.Key] {
+				continue
+			}
+			seen[rec.Stage+"|"+rec.Key] = true
+			if got, ok := c.Lookup(rec.Stage, rec.Key); !ok || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("reopened Lookup(%s, %s) = %+v, %v; want the first trusted record %+v", rec.Stage, rec.Key, got, ok, rec)
+			}
 		}
 		after, err := Inspect(path)
 		if err != nil {
 			t.Fatalf("re-inspect after open: %v", err)
 		}
-		if after.Status != JournalClean {
-			t.Fatalf("journal after open inspects %s, want clean", after.Status)
+		if after.Status != JournalClean || after.Records != len(scan.records) {
+			t.Fatalf("journal after open inspects %s with %d records, want clean with %d", after.Status, after.Records, len(scan.records))
 		}
 	})
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"hpcmetrics/internal/apps"
 	"hpcmetrics/internal/machine"
@@ -32,6 +33,7 @@ import (
 	"hpcmetrics/internal/probes"
 	"hpcmetrics/internal/simexec"
 	"hpcmetrics/internal/trace"
+	"hpcmetrics/internal/workload"
 )
 
 // ErrBadRequest marks request-validation failures — unknown application,
@@ -206,6 +208,7 @@ func colder(a, b hitKind) hitKind {
 type resolved struct {
 	tc     apps.TestCase
 	procs  int
+	cell   string // workload.CellID of (tc, procs): the cell's cache key
 	target *machine.Config
 	metric metrics.Metric
 }
@@ -236,11 +239,8 @@ func (p *Predictor) resolve(app, caseName string, procs int, machineName string,
 	if err != nil {
 		return r, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return resolved{tc: tc, procs: procs, target: target, metric: m}, nil
+	return resolved{tc: tc, procs: procs, cell: workload.CellID(tc.ID(), procs), target: target, metric: m}, nil
 }
-
-// cellKey names a cell as the study does: "app-case@procs".
-func cellKey(tc apps.TestCase, procs int) string { return fmt.Sprintf("%s@%d", tc.ID(), procs) }
 
 // Cell runs the cell's base-system ground truth and collects its trace,
 // both under the Predictor's World. Cell and Observe are the world-aware
@@ -265,7 +265,7 @@ func (p *Predictor) Cell(ctx context.Context, tc apps.TestCase, procs int) (Cell
 		return Cell{}, err
 	}
 	return Cell{
-		BaseSeconds: p.world.observe(run.Seconds, cellKey(tc, procs), p.base.Name),
+		BaseSeconds: p.world.observe(run.Seconds, workload.CellID(tc.ID(), procs), p.base.Name),
 		Trace:       p.world.traced(tr),
 	}, nil
 }
@@ -282,7 +282,7 @@ func (p *Predictor) Observe(ctx context.Context, tc apps.TestCase, procs int, ta
 	if err != nil {
 		return 0, err
 	}
-	return p.world.observe(run.Seconds, cellKey(tc, procs), target.Name), nil
+	return p.world.observe(run.Seconds, workload.CellID(tc.ID(), procs), target.Name), nil
 }
 
 // probesFor returns the machine's memoized probe suite.
@@ -298,9 +298,9 @@ func (p *Predictor) probesFor(ctx context.Context, cfg *machine.Config) (*probes
 }
 
 // cellFor returns the cell's memoized base run and trace.
-func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (Cell, hitKind, error) {
-	v, kind, err := p.cellCache.get(ctx, cellKey(tc, procs), func(ctx context.Context) (any, error) {
-		return p.Cell(ctx, tc, procs)
+func (p *Predictor) cellFor(ctx context.Context, r resolved) (Cell, hitKind, error) {
+	v, kind, err := p.cellCache.get(ctx, r.cell, func(ctx context.Context) (any, error) {
+		return p.Cell(ctx, r.tc, r.procs)
 	})
 	if err != nil {
 		return Cell{}, kind, err
@@ -308,11 +308,10 @@ func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (C
 	return v.(Cell), kind, nil
 }
 
-// observeFor returns the cell's memoized ground truth on one machine.
-func (p *Predictor) observeFor(ctx context.Context, tc apps.TestCase, procs int, target *machine.Config) (observation, hitKind, error) {
-	key := fmt.Sprintf("%s@%d|%s", tc.ID(), procs, target.Name)
-	v, kind, err := p.observeCache.get(ctx, key, func(ctx context.Context) (any, error) {
-		seconds, err := p.Observe(ctx, tc, procs, target)
+// observeFor returns the cell's memoized ground truth on the target.
+func (p *Predictor) observeFor(ctx context.Context, r resolved) (observation, hitKind, error) {
+	v, kind, err := p.observeCache.get(ctx, r.cell+"|"+r.target.Name, func(ctx context.Context) (any, error) {
+		seconds, err := p.Observe(ctx, r.tc, r.procs, r.target)
 		if errors.Is(err, simexec.ErrTooLarge) {
 			return observation{}, nil
 		}
@@ -355,12 +354,12 @@ func (p *Predictor) predict(ctx context.Context, req Request) (*Result, hitKind,
 		return nil, hitMiss, err
 	}
 	outcome = colder(outcome, kind)
-	cell, kind, err := p.cellFor(ctx, r.tc, r.procs)
+	cell, kind, err := p.cellFor(ctx, r)
 	if err != nil {
 		return nil, hitMiss, err
 	}
 	outcome = colder(outcome, kind)
-	predKey := fmt.Sprintf("%s@%d|%s|%d", r.tc.ID(), r.procs, r.target.Name, r.metric.ID)
+	predKey := r.cell + "|" + r.target.Name + "|" + strconv.Itoa(r.metric.ID)
 	v, kind, err := p.predictCache.get(ctx, predKey, func(ctx context.Context) (any, error) {
 		obs.From(ctx).Meter().Counter("predictor_metric_runs_total").Inc()
 		return r.metric.PredictContext(ctx, metrics.Context{
@@ -379,7 +378,7 @@ func (p *Predictor) predict(ctx context.Context, req Request) (*Result, hitKind,
 		Fits:             r.procs <= r.target.TotalProcs,
 	}
 	if req.Observed {
-		o, kind, err := p.observeFor(ctx, r.tc, r.procs, r.target)
+		o, kind, err := p.observeFor(ctx, r)
 		if err != nil {
 			return nil, hitMiss, err
 		}

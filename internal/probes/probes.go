@@ -158,7 +158,7 @@ func HPL(cfg *machine.Config) (float64, error) {
 		return 0, err
 	}
 	memCycles := memT.CyclesPerRef() * memOps
-	perIter := combine(cpu.Cycles, memCycles, cfg.MemOverlapFraction)
+	perIter := cpusim.Overlap(cpu.Cycles, memCycles, cfg.MemOverlapFraction)
 	return work.Flops / perIter * cfg.ClockGHz * 1e9, nil
 }
 
@@ -346,12 +346,4 @@ func MeasureContext(ctx context.Context, cfg *machine.Config) (*Results, error) 
 		}
 	}
 	return res, nil
-}
-
-func combine(cpu, mem, overlap float64) float64 {
-	longer, shorter := cpu, mem
-	if mem > cpu {
-		longer, shorter = mem, cpu
-	}
-	return longer + (1-overlap)*shorter
 }

@@ -89,7 +89,7 @@ func Do(ctx context.Context, p Policy, site string, op func(context.Context) err
 			break
 		}
 		retriesC.Inc()
-		if serr := sleepCtx(ctx, backoff(p, site, attempt)); serr != nil {
+		if serr := Sleep(ctx, backoff(p, site, attempt)); serr != nil {
 			// Cancelled mid-backoff: surface both the attempt's failure
 			// and the cancellation, so errors.Is finds either.
 			return attempt, errors.Join(err, serr)
@@ -148,8 +148,10 @@ func jitter(seed uint64, site string, attempt int) float64 {
 	return float64(h>>11) / float64(uint64(1)<<53)
 }
 
-// sleepCtx sleeps for d or until ctx is cancelled, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// Sleep sleeps for d or until ctx is cancelled, whichever is first; it
+// returns ctx's error if the context ended the sleep. Retry's backoff and
+// the fault injector's stalls both wait this way.
+func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}

@@ -145,7 +145,7 @@ func ExecuteContext(ctx context.Context, cfg *machine.Config, app *workload.App)
 	// allocation-free.
 	var faultID string
 	if faults.From(ctx) != nil {
-		faultID = fmt.Sprintf("%s@%d", app.ID(), app.Procs)
+		faultID = workload.CellID(app.ID(), app.Procs)
 	}
 
 	for i := range app.Blocks {
@@ -195,7 +195,7 @@ func executeBlock(cfg *machine.Config, blk *workload.Block, hz float64) (BlockRe
 		return BlockResult{}, err
 	}
 
-	perIter := combineOverlap(cpu.Cycles, memCyclesPerIter, cfg.MemOverlapFraction)
+	perIter := cpusim.Overlap(cpu.Cycles, memCyclesPerIter, cfg.MemOverlapFraction)
 	total := perIter * blk.Iters
 
 	return BlockResult{
@@ -206,15 +206,4 @@ func executeBlock(cfg *machine.Config, blk *workload.Block, hz float64) (BlockRe
 		ILPLimited:      cpu.ILPLimited,
 		MemCyclesPerRef: memT.CyclesPerRef(),
 	}, nil
-}
-
-// combineOverlap merges compute and memory cycles: the longer component
-// always shows; a fraction of the shorter hides beneath it according to
-// the core's ability to overlap independent work.
-func combineOverlap(cpu, mem, overlap float64) float64 {
-	longer, shorter := cpu, mem
-	if mem > cpu {
-		longer, shorter = mem, cpu
-	}
-	return longer + (1-overlap)*shorter
 }

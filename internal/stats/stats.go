@@ -1,11 +1,10 @@
 // Package stats provides the small numerical toolkit the study needs:
-// summary statistics over error samples, dense least squares (for the
-// regression-optimized balanced rating), and a simplex grid search for
-// weight optimization under a sum-to-one constraint.
+// summary statistics over error samples, rank and linear correlation,
+// and a simplex grid search for weight optimization under a sum-to-one
+// constraint.
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -37,18 +36,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// MeanAbs returns the mean of absolute values.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Abs(x)
-	}
-	return sum / float64(len(xs))
-}
-
 // AbsSlice returns |x| element-wise.
 func AbsSlice(xs []float64) []float64 {
 	out := make([]float64, len(xs))
@@ -70,81 +57,6 @@ type Summary struct {
 func Summarize(signedErrors []float64) Summary {
 	abs := AbsSlice(signedErrors)
 	return Summary{N: len(abs), MeanAbs: Mean(abs), StdAbs: StdDev(abs)}
-}
-
-// Solve solves the square system a·x = b by Gaussian elimination with
-// partial pivoting. It mutates copies, not the inputs.
-func Solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, errors.New("stats: dimension mismatch")
-	}
-	// Copy into an augmented matrix.
-	m := make([][]float64, n)
-	for i := range m {
-		if len(a[i]) != n {
-			return nil, fmt.Errorf("stats: row %d has %d columns, want %d", i, len(a[i]), n)
-		}
-		m[i] = append(append(make([]float64, 0, n+1), a[i]...), b[i])
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-14 {
-			return nil, errors.New("stats: singular system")
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := m[i][n]
-		for j := i + 1; j < n; j++ {
-			sum -= m[i][j] * x[j]
-		}
-		x[i] = sum / m[i][i]
-	}
-	return x, nil
-}
-
-// LeastSquares fits y ≈ X·beta by the normal equations. X is row-major
-// (one row per observation).
-func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
-	n := len(x)
-	if n == 0 || len(y) != n {
-		return nil, errors.New("stats: dimension mismatch")
-	}
-	p := len(x[0])
-	if p == 0 || n < p {
-		return nil, fmt.Errorf("stats: %d observations cannot fit %d parameters", n, p)
-	}
-	xtx := make([][]float64, p)
-	xty := make([]float64, p)
-	for i := range xtx {
-		xtx[i] = make([]float64, p)
-	}
-	for r := 0; r < n; r++ {
-		if len(x[r]) != p {
-			return nil, fmt.Errorf("stats: row %d has %d columns, want %d", r, len(x[r]), p)
-		}
-		for i := 0; i < p; i++ {
-			xty[i] += x[r][i] * y[r]
-			for j := 0; j < p; j++ {
-				xtx[i][j] += x[r][i] * x[r][j]
-			}
-		}
-	}
-	return Solve(xtx, xty)
 }
 
 // Weights3 is a point on the 3-simplex (non-negative, sums to one).

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -39,15 +38,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestMeanAbs(t *testing.T) {
-	if got := MeanAbs([]float64{-3, 3, -6, 6}); !almostEqual(got, 4.5, 1e-12) {
-		t.Errorf("MeanAbs = %g, want 4.5", got)
-	}
-	if got := MeanAbs(nil); got != 0 {
-		t.Errorf("MeanAbs(nil) = %g", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{-10, 10, -20, 20})
 	if s.N != 4 {
@@ -59,127 +49,6 @@ func TestSummarize(t *testing.T) {
 	// abs errors are {10,10,20,20}: sample stddev = 5.7735.
 	if !almostEqual(s.StdAbs, 5.7735, 1e-3) {
 		t.Errorf("StdAbs = %g, want ~5.77", s.StdAbs)
-	}
-}
-
-func TestSolveKnownSystem(t *testing.T) {
-	// 2x + y = 5; x - y = 1  ->  x = 2, y = 1.
-	x, err := Solve([][]float64{{2, 1}, {1, -1}}, []float64{5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x[0], 2, 1e-12) || !almostEqual(x[1], 1, 1e-12) {
-		t.Fatalf("solution = %v, want [2 1]", x)
-	}
-}
-
-func TestSolveNeedsPivoting(t *testing.T) {
-	// Leading zero forces a row swap.
-	x, err := Solve([][]float64{{0, 1}, {1, 0}}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x[0], 4, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
-		t.Fatalf("solution = %v, want [4 3]", x)
-	}
-}
-
-func TestSolveErrors(t *testing.T) {
-	if _, err := Solve(nil, nil); err == nil {
-		t.Error("empty system accepted")
-	}
-	if _, err := Solve([][]float64{{1, 1}, {1, 1}}, []float64{1, 2}); err == nil {
-		t.Error("singular system accepted")
-	}
-	if _, err := Solve([][]float64{{1, 2}}, []float64{1, 2}); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	if _, err := Solve([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
-		t.Error("ragged matrix accepted")
-	}
-}
-
-func TestLeastSquaresExactFit(t *testing.T) {
-	// y = 3a + 2b with no noise must be recovered exactly.
-	x := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}}
-	y := []float64{3, 2, 5, 8}
-	beta, err := LeastSquares(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(beta[0], 3, 1e-9) || !almostEqual(beta[1], 2, 1e-9) {
-		t.Fatalf("beta = %v, want [3 2]", beta)
-	}
-}
-
-func TestLeastSquaresErrors(t *testing.T) {
-	if _, err := LeastSquares(nil, nil); err == nil {
-		t.Error("empty fit accepted")
-	}
-	if _, err := LeastSquares([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("underdetermined fit accepted")
-	}
-	if _, err := LeastSquares([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
-		t.Error("ragged rows accepted")
-	}
-}
-
-// Property: least-squares residuals are orthogonal to every column of X.
-func TestQuickLeastSquaresResidualOrthogonality(t *testing.T) {
-	f := func(raw [12]int8, noise [6]int8) bool {
-		x := make([][]float64, 6)
-		y := make([]float64, 6)
-		for i := 0; i < 6; i++ {
-			x[i] = []float64{float64(raw[2*i]), float64(raw[2*i+1])}
-			y[i] = 2*x[i][0] - x[i][1] + float64(noise[i])/10
-		}
-		beta, err := LeastSquares(x, y)
-		if err != nil {
-			return true // singular design matrices are fine to reject
-		}
-		for col := 0; col < 2; col++ {
-			var dot float64
-			for i := range x {
-				resid := y[i] - beta[0]*x[i][0] - beta[1]*x[i][1]
-				dot += resid * x[i][col]
-			}
-			if math.Abs(dot) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Solve returns x with a·x = b.
-func TestQuickSolveSatisfiesSystem(t *testing.T) {
-	f := func(raw [9]int8, braw [3]int8) bool {
-		a := make([][]float64, 3)
-		b := make([]float64, 3)
-		for i := 0; i < 3; i++ {
-			a[i] = []float64{float64(raw[3*i]), float64(raw[3*i+1]), float64(raw[3*i+2])}
-			b[i] = float64(braw[i])
-		}
-		x, err := Solve(a, b)
-		if err != nil {
-			return true // singular: acceptable
-		}
-		for i := 0; i < 3; i++ {
-			var sum float64
-			for j := 0; j < 3; j++ {
-				sum += a[i][j] * x[j]
-			}
-			if math.Abs(sum-b[i]) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -262,11 +262,13 @@ func TestStudyCheckpointResume(t *testing.T) {
 
 // TestStudyResumeRejectsDifferentOptions: a checkpoint journals its
 // study's options fingerprint; resuming into a different grid must fail
-// loudly instead of splicing incompatible results.
+// loudly instead of splicing incompatible results. As in the fault-seed
+// test below, the journal header is written directly: the rejection
+// happens at journal open, before any cell computes.
 func TestStudyResumeRejectsDifferentOptions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "study.ckpt")
 	a := Options{Apps: []string{"avus-standard"}, Targets: []string{"ARL_Opteron"}, CheckpointPath: path}
-	if _, err := Run(a); err != nil {
+	if _, err := persist.CreateCheckpoint(path, a.optionsTag()); err != nil {
 		t.Fatal(err)
 	}
 	b := Options{Apps: []string{"rfcth-standard"}, Targets: []string{"ARL_Opteron"}, CheckpointPath: path, Resume: true}

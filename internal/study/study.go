@@ -36,6 +36,7 @@ import (
 	"hpcmetrics/internal/simexec"
 	"hpcmetrics/internal/stats"
 	"hpcmetrics/internal/trace"
+	"hpcmetrics/internal/workload"
 )
 
 // Key identifies one (application, case, processor count) cell.
@@ -45,11 +46,11 @@ type Key struct {
 	Procs int
 }
 
-// String formats the key as "app-case@procs".
-func (k Key) String() string { return fmt.Sprintf("%s-%s@%d", k.App, k.Case, k.Procs) }
+// String formats the key as its workload.CellID, "app-case@procs".
+func (k Key) String() string { return workload.CellID(k.AppID(), k.Procs) }
 
-// AppID returns "app-case".
-func (k Key) AppID() string { return k.App + "-" + k.Case }
+// AppID returns the key's workload.AppID, "app-case".
+func (k Key) AppID() string { return workload.AppID(k.App, k.Case) }
 
 // Prediction is one of the study's 1,350 predictions.
 type Prediction struct {

@@ -66,8 +66,8 @@ type Trace struct {
 	Comm []netsim.Event
 }
 
-// ID returns the traced application's identifier.
-func (t *Trace) ID() string { return t.App + "-" + t.Case }
+// ID returns the traced application's workload.AppID.
+func (t *Trace) ID() string { return workload.AppID(t.App, t.Case) }
 
 // TotalFlops returns the traced floating-point operation count per rank.
 func (t *Trace) TotalFlops() float64 {
@@ -139,7 +139,7 @@ func CollectContext(ctx context.Context, base *machine.Config, app *workload.App
 	// an injector is listening, as in simexec.
 	var faultID string
 	if faults.From(ctx) != nil {
-		faultID = fmt.Sprintf("%s@%d", app.ID(), app.Procs)
+		faultID = workload.CellID(app.ID(), app.Procs)
 	}
 	for i := range app.Blocks {
 		if err := ctx.Err(); err != nil {

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"hpcmetrics/internal/access"
 	"hpcmetrics/internal/cpusim"
@@ -59,9 +60,6 @@ func (b *Block) Validate() error {
 // FlopCount returns total floating-point operations for the rank.
 func (b *Block) FlopCount() float64 { return b.Work.Flops * b.Iters }
 
-// MemRefCount returns total memory references for the rank.
-func (b *Block) MemRefCount() float64 { return b.Work.MemOps * b.Iters }
-
 // App is an application instantiated at a processor count.
 type App struct {
 	// Name is the application ("avus", "hycom", ...).
@@ -81,8 +79,19 @@ type App struct {
 	RuntimeImbalance float64
 }
 
-// ID returns the "name-case" identifier used in reports.
-func (a *App) ID() string { return a.Name + "-" + a.Case }
+// AppID names an (application, test case) pair: "name-case", as in
+// "avus-standard". Reports, traces and the study's tables all use it.
+func AppID(name, testCase string) string { return name + "-" + testCase }
+
+// CellID names an application run at a processor count:
+// "name-case@procs", as in "avus-standard@64", built from an AppID. Its
+// bytes are the input of the observation-noise hash, the checkpoint
+// journal's record keys, the fault-injection identities and the
+// Predictor's cache keys, so the format must never change.
+func CellID(appID string, procs int) string { return appID + "@" + strconv.Itoa(procs) }
+
+// ID returns the app's AppID.
+func (a *App) ID() string { return AppID(a.Name, a.Case) }
 
 // Validate reports structural problems in the app.
 func (a *App) Validate() error {
@@ -121,15 +130,6 @@ func (a *App) TotalFlops() float64 {
 	var sum float64
 	for i := range a.Blocks {
 		sum += a.Blocks[i].FlopCount()
-	}
-	return sum
-}
-
-// TotalMemRefs returns the rank's memory reference count.
-func (a *App) TotalMemRefs() float64 {
-	var sum float64
-	for i := range a.Blocks {
-		sum += a.Blocks[i].MemRefCount()
 	}
 	return sum
 }
