@@ -162,6 +162,10 @@ func TestPredictEndpointRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("rank with bad target: status %d, want 400; body %s", resp.StatusCode, body)
 	}
+	resp, body = get(t, ts.URL+"/v1/rank?app=avus&targets=NAVO_655,ARL_Opteron,NAVO_655")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("rank with a repeated target: status %d, want 400; body %s", resp.StatusCode, body)
+	}
 }
 
 // TestGateAdmission exercises the admission gate directly: immediate

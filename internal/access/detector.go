@@ -1,5 +1,7 @@
 package access
 
+import "math/bits"
+
 // Detector classifies an address stream into stride bins the way the
 // paper's tracer does: it tracks a small table of recently seen access
 // streams and matches each new reference against them by delta. A match at
@@ -10,21 +12,25 @@ package access
 // hardware stream detectors.
 //
 // The Detector also estimates the stream's working set by counting distinct
-// lines at a fixed granularity, and its store fraction.
+// lines at a fixed granularity, and its store fraction. The line set is
+// exact: a paged bitmap (see lineSet), so the count equals that of a set
+// holding every line number.
 type Detector struct {
-	trackers []tracker
-	clock    uint64
-	counts   [numClasses]int64
-	stores   int64
-	total    int64
-	lines    map[uint64]struct{}
-	gran     int64
-}
-
-type tracker struct {
-	lastAddr uint64
-	lastUsed uint64
-	valid    bool
+	// addrs[:live] are the trackers' last addresses in the order the
+	// trackers were allocated; a tracker is never emptied once allocated.
+	addrs []uint64
+	live  int
+	// newer and older link the live trackers in recency order, from lru
+	// (the least recently used) to mru.
+	newer, older []int
+	lru, mru     int
+	counts       [numClasses]int64
+	stores       int64
+	total        int64
+	lines        lineSet
+	gran         int64
+	// shift is log2(gran) when gran is a power of two, else -1.
+	shift int
 }
 
 // DefaultTrackers is the stream-table size; 16 covers the handful of
@@ -53,73 +59,165 @@ func NewDetectorGranularity(n int, granularity int64) *Detector {
 	if granularity <= 0 {
 		granularity = wsGranularity
 	}
+	shift := -1
+	if granularity&(granularity-1) == 0 {
+		shift = bits.TrailingZeros64(uint64(granularity))
+	}
 	return &Detector{
-		trackers: make([]tracker, n),
-		lines:    make(map[uint64]struct{}),
-		gran:     granularity,
+		addrs: make([]uint64, n),
+		newer: make([]int, n),
+		older: make([]int, n),
+		lines: newLineSet(),
+		gran:  granularity,
+		shift: shift,
 	}
 }
 
 // Observe classifies one reference and folds it into the summary,
 // returning the class assigned.
 func (d *Detector) Observe(ref Ref) Class {
-	d.clock++
 	d.total++
+	// Stores arrive at random; a conditional move beats a branch.
+	var store int64
 	if ref.Store {
-		d.stores++
+		store = 1
 	}
-	d.lines[ref.Addr/uint64(d.gran)] = struct{}{}
-
-	const maxDelta = MaxShortStride * ElemBytes
-	class := ClassRandom
-	matched := -1
-	for i := range d.trackers {
-		t := &d.trackers[i]
-		if !t.valid {
-			continue
-		}
-		delta := int64(ref.Addr) - int64(t.lastAddr)
-		if delta < 0 {
-			delta = -delta
-		}
-		if delta > maxDelta {
-			continue
-		}
-		switch {
-		case delta <= ElemBytes:
-			// Same element or the adjacent one: contiguous access.
-			class = ClassUnit
-		case delta%ElemBytes == 0:
-			class = ClassShort
-		default:
-			// Sub-element misalignment within short range still walks the
-			// same lines; bin it with short strides.
-			class = ClassShort
-		}
-		matched = i
-		break
-	}
-
-	if matched >= 0 {
-		d.trackers[matched].lastAddr = ref.Addr
-		d.trackers[matched].lastUsed = d.clock
+	d.stores += store
+	if d.shift >= 0 {
+		d.lines.add(ref.Addr >> d.shift)
 	} else {
-		// Allocate the LRU slot for a potential new stream.
-		lru, lruUsed := 0, ^uint64(0)
-		for i := range d.trackers {
-			if !d.trackers[i].valid {
-				lru = i
-				break
-			}
-			if d.trackers[i].lastUsed < lruUsed {
-				lru, lruUsed = i, d.trackers[i].lastUsed
-			}
-		}
-		d.trackers[lru] = tracker{lastAddr: ref.Addr, lastUsed: d.clock, valid: true}
+		d.lines.add(ref.Addr / uint64(d.gran))
 	}
 
-	d.counts[class]++
-	return class
+	// The first tracker in allocation order within short reach of the
+	// reference, either way, matches. Distances wrap at 2^64, so a
+	// tracker exactly 1<<63 away, whose signed distance has no positive
+	// negation, counts as contiguous. Sub-element misalignment within
+	// short reach walks the same lines, so it bins with short strides.
+	const maxDelta = MaxShortStride * ElemBytes
+	for i, last := range d.addrs[:d.live] {
+		diff := ref.Addr - last
+		if diff+maxDelta <= 2*maxDelta || diff == 1<<63 {
+			d.addrs[i] = ref.Addr
+			d.touch(i)
+			class := ClassShort
+			if diff+ElemBytes <= 2*ElemBytes || diff == 1<<63 {
+				// Same element or the adjacent one: contiguous access.
+				class = ClassUnit
+			}
+			d.counts[class]++
+			return class
+		}
+	}
+	// No match: the reference starts a potential stream in the first
+	// empty tracker, else in the least recently used one.
+	if d.live < len(d.addrs) {
+		i := d.live
+		if d.live > 0 {
+			d.older[i], d.newer[d.mru] = d.mru, i
+		}
+		d.mru = i
+		d.live++
+	} else {
+		d.touch(d.lru)
+	}
+	d.addrs[d.mru] = ref.Addr
+	d.counts[ClassRandom]++
+	return ClassRandom
+}
+
+// touch makes live tracker i the most recently used.
+func (d *Detector) touch(i int) {
+	if i == d.mru {
+		return
+	}
+	newer, older := d.newer[i], d.older[i]
+	if i == d.lru {
+		d.lru = newer
+	} else {
+		d.newer[older] = newer
+	}
+	d.older[newer] = older
+	d.older[i], d.newer[d.mru] = d.mru, i
+	d.mru = i
+}
+
+// lineSet is an exact set of line numbers kept as a paged bitmap: an
+// open-addressed, linearly probed table of pages, each one word of
+// presence bits for 64 consecutive lines. A walk sets up to 64 bits in
+// one page, so a dense stream's table stays small and hot; a stream that
+// scatters over a huge region costs one 16-byte slot per line, within
+// what a map entry costs. A page is first looked for at its home slot,
+// so the pages of a loop's few walkers are found with one multiply and
+// one load.
+type lineSet struct {
+	pages []page // power-of-two length
+	shift uint   // 64 - log2(len(pages)): the home slot is the hash's top bits
+	used  int    // occupied slots
+	n     int64  // distinct lines
+}
+
+type page struct {
+	tag  uint64 // page number + 1; 0 marks an empty slot
+	bits uint64 // bit i: line page<<6 + i is present
+}
+
+const linesPerPage = 64
+
+func newLineSet() lineSet {
+	const log2Slots = 6
+	return lineSet{pages: make([]page, 1<<log2Slots), shift: 64 - log2Slots}
+}
+
+// home is the Fibonacci hash of a tag's slot.
+func (s *lineSet) home(tag uint64) uint64 { return (tag * 0x9e3779b97f4a7c15) >> s.shift }
+
+// add inserts a line and counts it if it is new.
+func (s *lineSet) add(line uint64) {
+	tag := line/linesPerPage + 1
+	bit := uint64(1) << (line % linesPerPage)
+	p := s.slot(tag)
+	if p.tag == tag {
+		if p.bits&bit != 0 {
+			return
+		}
+		p.bits |= bit
+	} else {
+		*p = page{tag: tag, bits: bit}
+		s.used++
+		// Keep the load at most 3/4 so probe runs stay short.
+		if 4*s.used > 3*len(s.pages) {
+			s.grow()
+		}
+	}
+	s.n++
+}
+
+// slot returns the slot holding tag, or the empty slot where it goes.
+func (s *lineSet) slot(tag uint64) *page {
+	mask := uint64(len(s.pages) - 1)
+	i := s.home(tag)
+	// The load stays below 1, so the probe meets tag or an empty slot
+	// before it has visited every slot.
+	for range s.pages {
+		if p := &s.pages[i]; p.tag == tag || p.tag == 0 {
+			return p
+		}
+		i = (i + 1) & mask
+	}
+	panic("access: line set has no empty slot")
+}
+
+// grow doubles the table and rehashes every page.
+func (s *lineSet) grow() {
+	old := s.pages
+	s.pages = make([]page, 2*len(old))
+	s.shift--
+	for _, p := range old {
+		if p.tag != 0 {
+			*s.slot(p.tag) = p
+		}
+	}
 }
 
 // Summary is the detector's verdict over everything observed so far.
@@ -148,10 +246,8 @@ func (s Summary) Mix() Mix {
 func (d *Detector) Summary() Summary {
 	var s Summary
 	s.Total = d.total
-	for c := Class(0); c < numClasses; c++ {
-		s.Counts[c] = d.counts[c]
-	}
-	s.WorkingSetBytes = int64(len(d.lines)) * d.gran
+	s.Counts = d.counts
+	s.WorkingSetBytes = d.lines.n * d.gran
 	if d.total > 0 {
 		s.StoreFraction = float64(d.stores) / float64(d.total)
 	}

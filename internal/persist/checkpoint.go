@@ -176,18 +176,7 @@ func OpenCheckpoint(path, tag string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("persist: checkpoint %s was written by a study with different options (tag %q, want %q)",
 			path, hdr.Tag, tag)
 	}
-	// First record wins, as in Append: a duplicate key (which Append
-	// never writes, but a hand-edited or concatenated journal may hold)
-	// is neither indexed nor counted.
-	index := make(map[string]int, len(scan.records))
-	var records []CellRecord
-	for _, rec := range scan.records {
-		if _, dup := index[rec.Stage+"|"+rec.Key]; dup {
-			continue
-		}
-		index[rec.Stage+"|"+rec.Key] = len(records)
-		records = append(records, rec)
-	}
+	records, index := distinct(scan.records)
 	if scan.badLine > 0 {
 		// Torn tail or flipped bits: everything from the first bad line
 		// on is untrustworthy. Rewrite the journal back to its good
@@ -197,6 +186,23 @@ func OpenCheckpoint(path, tag string) (*Checkpoint, error) {
 		}
 	}
 	return &Checkpoint{path: path, tag: tag, data: scan.goodData, records: records, index: index}, nil
+}
+
+// distinct keeps the first record of each (stage, key) and indexes them.
+// First record wins, as in Append: a duplicate key (which Append never
+// writes, but a hand-edited or concatenated journal may hold) is neither
+// indexed nor counted.
+func distinct(all []CellRecord) ([]CellRecord, map[string]int) {
+	index := make(map[string]int, len(all))
+	var records []CellRecord
+	for _, rec := range all {
+		if _, dup := index[rec.Stage+"|"+rec.Key]; dup {
+			continue
+		}
+		index[rec.Stage+"|"+rec.Key] = len(records)
+		records = append(records, rec)
+	}
+	return records, index
 }
 
 // decodeRecord parses one journal line, verifying its checksum.
@@ -322,15 +328,17 @@ func Inspect(path string) (*JournalInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s is not a checkpoint file", path)
 	}
+	// Count what OpenCheckpoint would load: one record per key.
+	records, _ := distinct(scan.records)
 	info := &JournalInfo{
 		Path:    path,
 		Format:  scan.hdr.Format,
 		Version: scan.hdr.Version,
 		Tag:     scan.hdr.Tag,
-		Records: len(scan.records),
+		Records: len(records),
 		Status:  JournalClean,
 	}
-	for _, rec := range scan.records {
+	for _, rec := range records {
 		switch rec.Stage {
 		case StageProbe:
 			info.Probes++

@@ -107,7 +107,7 @@ type RankRequest struct {
 	Procs    int
 	MetricID int
 	// Machines restricts and orders the candidate set; empty means the
-	// study's ten target systems.
+	// study's ten target systems. A machine may appear once.
 	Machines []string
 	// Observed fills ground truths for every ranked machine.
 	Observed bool
@@ -411,10 +411,17 @@ func (p *Predictor) Rank(ctx context.Context, req RankRequest) (*Ranking, error)
 	if err != nil {
 		return nil, err
 	}
+	// A repeated machine is refused, so one request fans out to at most
+	// one entry per preset.
+	seen := map[string]bool{names[0]: true}
 	for _, name := range names[1:] {
 		if _, err := machine.Preset(name); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("%w: machine %s repeated", ErrBadRequest, name)
+		}
+		seen[name] = true
 	}
 	entries := make([]*Result, len(names))
 	kinds := make([]hitKind, len(names))

@@ -294,6 +294,11 @@ func TestResolveRejectsBadRequests(t *testing.T) {
 	}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("rank with one bad machine: err = %v, want ErrBadRequest", err)
 	}
+	if _, err := p.Rank(context.Background(), RankRequest{
+		App: "avus", MetricID: 9, Machines: []string{machine.NAVO655, machine.ARLOpteron, machine.NAVO655},
+	}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("rank with a repeated machine: err = %v, want ErrBadRequest", err)
+	}
 }
 
 // --- cache mechanics (no simulation, all synthetic computes) ---
