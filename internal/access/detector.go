@@ -1,6 +1,6 @@
 package access
 
-import "math/bits"
+import "math"
 
 // Detector classifies an address stream into stride bins the way the
 // paper's tracer does: it tracks a small table of recently seen access
@@ -17,20 +17,16 @@ import "math/bits"
 // holding every line number.
 type Detector struct {
 	// addrs[:live] are the trackers' last addresses in the order the
-	// trackers were allocated; a tracker is never emptied once allocated.
-	addrs []uint64
-	live  int
-	// newer and older link the live trackers in recency order, from lru
-	// (the least recently used) to mru.
-	newer, older []int
-	lru, mru     int
-	counts       [numClasses]int64
-	stores       int64
-	total        int64
-	lines        lineSet
-	gran         int64
-	// shift is log2(gran) when gran is a power of two, else -1.
-	shift int
+	// trackers were allocated, and lastUsed[:live] the clock of their last
+	// match; a tracker is never emptied once allocated.
+	addrs    []uint64
+	lastUsed []int64
+	live     int
+	counts   [numClasses]int64
+	stores   int64
+	total    int64 // also the clock: each reference ticks it once
+	lines    lineSet
+	gran     int64
 }
 
 // DefaultTrackers is the stream-table size; 16 covers the handful of
@@ -59,17 +55,11 @@ func NewDetectorGranularity(n int, granularity int64) *Detector {
 	if granularity <= 0 {
 		granularity = wsGranularity
 	}
-	shift := -1
-	if granularity&(granularity-1) == 0 {
-		shift = bits.TrailingZeros64(uint64(granularity))
-	}
 	return &Detector{
-		addrs: make([]uint64, n),
-		newer: make([]int, n),
-		older: make([]int, n),
-		lines: newLineSet(),
-		gran:  granularity,
-		shift: shift,
+		addrs:    make([]uint64, n),
+		lastUsed: make([]int64, n),
+		lines:    newLineSet(),
+		gran:     granularity,
 	}
 }
 
@@ -83,23 +73,23 @@ func (d *Detector) Observe(ref Ref) Class {
 		store = 1
 	}
 	d.stores += store
-	if d.shift >= 0 {
-		d.lines.add(ref.Addr >> d.shift)
-	} else {
-		d.lines.add(ref.Addr / uint64(d.gran))
-	}
+	d.lines.add(ref.Addr / uint64(d.gran))
 
 	// The first tracker in allocation order within short reach of the
 	// reference, either way, matches. Distances wrap at 2^64, so a
 	// tracker exactly 1<<63 away, whose signed distance has no positive
 	// negation, counts as contiguous. Sub-element misalignment within
 	// short reach walks the same lines, so it bins with short strides.
+	// The same pass finds the least recently used tracker in case
+	// nothing matches.
 	const maxDelta = MaxShortStride * ElemBytes
-	for i, last := range d.addrs[:d.live] {
+	addrs := d.addrs[:d.live]
+	used := d.lastUsed[:len(addrs)]
+	victim, oldest := 0, int64(math.MaxInt64)
+	for i, last := range addrs {
 		diff := ref.Addr - last
 		if diff+maxDelta <= 2*maxDelta || diff == 1<<63 {
-			d.addrs[i] = ref.Addr
-			d.touch(i)
+			addrs[i], used[i] = ref.Addr, d.total
 			class := ClassShort
 			if diff+ElemBytes <= 2*ElemBytes || diff == 1<<63 {
 				// Same element or the adjacent one: contiguous access.
@@ -108,38 +98,19 @@ func (d *Detector) Observe(ref Ref) Class {
 			d.counts[class]++
 			return class
 		}
+		if u := used[i]; u < oldest {
+			victim, oldest = i, u
+		}
 	}
 	// No match: the reference starts a potential stream in the first
 	// empty tracker, else in the least recently used one.
 	if d.live < len(d.addrs) {
-		i := d.live
-		if d.live > 0 {
-			d.older[i], d.newer[d.mru] = d.mru, i
-		}
-		d.mru = i
+		victim = d.live
 		d.live++
-	} else {
-		d.touch(d.lru)
 	}
-	d.addrs[d.mru] = ref.Addr
+	d.addrs[victim], d.lastUsed[victim] = ref.Addr, d.total
 	d.counts[ClassRandom]++
 	return ClassRandom
-}
-
-// touch makes live tracker i the most recently used.
-func (d *Detector) touch(i int) {
-	if i == d.mru {
-		return
-	}
-	newer, older := d.newer[i], d.older[i]
-	if i == d.lru {
-		d.lru = newer
-	} else {
-		d.newer[older] = newer
-	}
-	d.older[newer] = older
-	d.older[i], d.newer[d.mru] = d.mru, i
-	d.mru = i
 }
 
 // lineSet is an exact set of line numbers kept as a paged bitmap: an
