@@ -108,11 +108,6 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float64 returns a uniform value in [0,1).
-func (r *rng) float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
 // intn returns a uniform value in [0,n). A non-positive bound panics: it
 // is an internal invariant, unreachable from the exported API because
 // newGenerator rejects degenerate specs with an error before any draw

@@ -283,27 +283,3 @@ func TestGatherSpreadWidensFootprint(t *testing.T) {
 			sumWide.WorkingSetBytes, sumNarrow.WorkingSetBytes)
 	}
 }
-
-func FuzzNewStream(f *testing.F) {
-	// The seed corpus lives in testdata/fuzz/FuzzNewStream: skeleton-like
-	// specs and the rejects, among them a sub-element hot region that once
-	// passed Validate and then divided by zero on the first hot reference.
-	f.Fuzz(func(t *testing.T, ws int64, unit, short, random float64, stride int64,
-		store, gather, hot float64, hotBytes int64, seed uint64) {
-		spec := StreamSpec{
-			WorkingSetBytes: ws, Mix: Mix{Unit: unit, Short: short, Random: random},
-			ShortStrideElems: stride, StoreFraction: store, GatherSpread: gather,
-			HotFraction: hot, HotBytes: hotBytes, Seed: seed,
-		}
-		if spec.Validate() != nil {
-			return
-		}
-		st, err := NewStream(spec)
-		if err != nil {
-			t.Fatalf("Validate accepted %+v, NewStream refused it: %v", spec, err)
-		}
-		for i := 0; i < 512; i++ {
-			st.Next()
-		}
-	})
-}

@@ -36,6 +36,26 @@ func registryApps(t testing.TB) []*workload.App {
 	return out
 }
 
+// defaultBlockSpecs returns the stream of every block of the registry
+// test cases at their default processor counts.
+func defaultBlockSpecs(t testing.TB) []access.StreamSpec {
+	var specs []access.StreamSpec
+	for _, tc := range apps.Registry() {
+		procs, err := tc.DefaultProcs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := tc.Instance(procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, blk := range app.Blocks {
+			specs = append(specs, blk.Stream)
+		}
+	}
+	return specs
+}
+
 // matchReference feeds refs to a Detector and to the frozen reference and
 // fails on the first reference they class differently or on any
 // difference in the final Summary.
@@ -198,20 +218,7 @@ func TestDetectorMemoryBound(t *testing.T) {
 // default processor counts, at the tracer's granularity and length. Each
 // block's stream is generated outside the timer.
 func BenchmarkDetectorObserve(b *testing.B) {
-	var specs []access.StreamSpec
-	for _, tc := range apps.Registry() {
-		procs, err := tc.DefaultProcs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		app, err := tc.Instance(procs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, blk := range app.Blocks {
-			specs = append(specs, blk.Stream)
-		}
-	}
+	specs := defaultBlockSpecs(b)
 	buf := make([]access.Ref, tracerCeiling)
 	var refs int64
 	b.ResetTimer()

@@ -75,16 +75,24 @@ func (s StreamSpec) Validate() error {
 // access patterns, so consecutive references alternate between walkers
 // rather than arriving in long per-class runs.
 type generator struct {
-	spec     StreamSpec
-	r        *rng
-	elems    int64 // working set in elements
-	base     uint64
+	spec  StreamSpec
+	r     rng
+	elems int64 // working set in elements
+	base  uint64
+	// The walkers' offsets in elements, each kept inside its region:
+	// unitPos and shortPos in [0, elems), hotPos in [0, hotElems).
 	unitPos  int64
 	shortPos int64
 	stride   int64
 	spread   int64 // random region in elements
 	hotElems int64
 	hotPos   int64
+	// hotCut and storeCut are HotFraction and StoreFraction scaled by
+	// 2^53. A draw's top 53 bits, as an integer, fall below the cut
+	// exactly when the draw as a float in [0,1) falls below the
+	// fraction: both scalings are by a power of two, so neither rounds.
+	hotCut   float64
+	storeCut float64
 	// errAccum implements largest-remainder scheduling of the three
 	// classes so exact proportions hold even for short streams.
 	errAccum [numClasses]float64
@@ -116,49 +124,67 @@ func newGenerator(spec StreamSpec) (*generator, error) {
 	}
 	return &generator{
 		spec:     spec,
-		r:        newRNG(spec.Seed),
+		r:        *newRNG(spec.Seed),
 		elems:    elems,
 		base:     baseAddr + (spec.Seed%4096)*(1<<28),
 		stride:   stride,
 		spread:   spread,
 		hotElems: hotBytes / ElemBytes,
+		hotCut:   spec.HotFraction * (1 << 53),
+		storeCut: spec.StoreFraction * (1 << 53),
 	}, nil
 }
 
 // pickClass chooses the next reference's class by largest accumulated
 // deficit, which realizes the mix exactly without random clumping.
 func (g *generator) pickClass() Class {
-	g.errAccum[ClassUnit] += g.spec.Mix.Unit
-	g.errAccum[ClassShort] += g.spec.Mix.Short
-	g.errAccum[ClassRandom] += g.spec.Mix.Random
-	best, bestV := ClassUnit, g.errAccum[ClassUnit]
-	for c := ClassShort; c < numClasses; c++ {
-		if g.errAccum[c] > bestV {
-			best, bestV = c, g.errAccum[c]
-		}
+	a := &g.errAccum
+	a[ClassUnit] += g.spec.Mix.Unit
+	a[ClassShort] += g.spec.Mix.Short
+	a[ClassRandom] += g.spec.Mix.Random
+	best := ClassUnit
+	if a[ClassShort] > a[best] {
+		best = ClassShort
 	}
-	g.errAccum[best] -= 1
+	if a[ClassRandom] > a[best] {
+		best = ClassRandom
+	}
+	a[best] -= 1
 	return best
 }
 
+// draw reports whether the next uniform draw falls below the fraction
+// whose cut is given (see generator.hotCut).
+func (g *generator) draw(cut float64) bool {
+	return float64(g.r.next()>>11) < cut
+}
+
 func (g *generator) next() Ref {
-	if g.spec.HotFraction > 0 && g.r.float64() < g.spec.HotFraction {
-		addr := g.base + uint64(3)<<27 + uint64(g.hotPos%g.hotElems)*ElemBytes
-		g.hotPos++
-		return Ref{Addr: addr, Store: g.r.float64() < g.spec.StoreFraction}
+	if g.hotCut > 0 && g.draw(g.hotCut) {
+		addr := g.base + uint64(3)<<27 + uint64(g.hotPos)*ElemBytes
+		if g.hotPos++; g.hotPos == g.hotElems {
+			g.hotPos = 0
+		}
+		return Ref{Addr: addr, Store: g.draw(g.storeCut)}
 	}
 	var addr uint64
 	switch g.pickClass() {
 	case ClassUnit:
-		addr = g.base + uint64(g.unitPos%g.elems)*ElemBytes
-		g.unitPos++
+		addr = g.base + uint64(g.unitPos)*ElemBytes
+		if g.unitPos++; g.unitPos == g.elems {
+			g.unitPos = 0
+		}
 	case ClassShort:
-		addr = g.base + uint64(1)<<27 + uint64(g.shortPos%g.elems)*ElemBytes
-		g.shortPos += g.stride
+		addr = g.base + uint64(1)<<27 + uint64(g.shortPos)*ElemBytes
+		// The stride may exceed a small working set, so the wrap is a
+		// remainder, taken only when the walker leaves the region.
+		if g.shortPos += g.stride; g.shortPos >= g.elems {
+			g.shortPos %= g.elems
+		}
 	default:
 		addr = g.base + uint64(2)<<27 + uint64(g.r.intn(g.spread))*ElemBytes
 	}
-	return Ref{Addr: addr, Store: g.r.float64() < g.spec.StoreFraction}
+	return Ref{Addr: addr, Store: g.draw(g.storeCut)}
 }
 
 // Generate produces n deterministic references for the spec. The same

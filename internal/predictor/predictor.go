@@ -164,7 +164,8 @@ type Predictor struct {
 
 // Config tunes a Predictor.
 type Config struct {
-	// Workers bounds Rank's per-machine fan-out; 0 means GOMAXPROCS.
+	// Workers bounds Rank's per-machine fan-out and the two halves of a
+	// cold Cell; 0 means GOMAXPROCS.
 	Workers int
 	// World sets observation noise and the ablations; the zero World is
 	// the plain model every server and CLI answers from.
@@ -248,20 +249,42 @@ func (p *Predictor) resolve(app, caseName string, procs int, machineName string,
 // them directly under its own retry and checkpoint journal. The probe
 // and metric layers need no world; the study calls probes.MeasureContext
 // and Metric.PredictContext itself.
+//
+// The base run and the trace read nothing of each other, so they run
+// side by side, as two slots of a par pool bounded by Config.Workers (one
+// after the other under Workers 1). One half's failure does not cancel
+// the other: each hits its own fault points in block order until its own
+// first failure, as it would alone, so injected faults stay a function of
+// the seed and the fault identity. The base run's error wins over the
+// trace's.
 func (p *Predictor) Cell(ctx context.Context, tc apps.TestCase, procs int) (Cell, error) {
 	app, err := tc.Instance(procs)
 	if err != nil {
 		return Cell{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	meter := obs.From(ctx).Meter()
-	meter.Counter("predictor_exec_runs_total").Inc()
-	run, err := simexec.ExecuteContext(ctx, p.world.runOn(p.base), app)
-	if err != nil {
-		return Cell{}, err
-	}
-	meter.Counter("predictor_trace_runs_total").Inc()
-	tr, err := trace.CollectContext(ctx, p.base, app)
-	if err != nil {
+	var (
+		run           *simexec.Result
+		tr            *trace.Trace
+		runErr, trErr error
+	)
+	err = par.ForEachIndexed(ctx, 2, p.workers, "predictor", func(ctx context.Context, i int) error {
+		if i == 0 {
+			meter.Counter("predictor_exec_runs_total").Inc()
+			run, runErr = simexec.ExecuteContext(ctx, p.world.runOn(p.base), app)
+		} else {
+			meter.Counter("predictor_trace_runs_total").Inc()
+			tr, trErr = trace.CollectContext(ctx, p.base, app)
+		}
+		return nil
+	})
+	// The pool's own error is only the caller's: no slot returns one.
+	switch {
+	case runErr != nil:
+		return Cell{}, runErr
+	case trErr != nil:
+		return Cell{}, trErr
+	case err != nil:
 		return Cell{}, err
 	}
 	return Cell{

@@ -222,6 +222,84 @@ func TestPredictObservationErrorSurfaces(t *testing.T) {
 	}
 }
 
+// TestCellFaultsDeterministic runs the two halves of a cold cell side by
+// side under injected faults and checks that neither half's failure
+// reaches into the other: every run of the same cell under the same
+// rules returns the same error and fires the same faults, whichever half
+// finishes first. A cold Predict then shows the halves as one exec and
+// one trace span under one parent, each run once.
+func TestCellFaultsDeterministic(t *testing.T) {
+	runs := 20
+	if testing.Short() {
+		runs = 3
+	}
+	tc, err := apps.Lookup(herdRequest.App, herdRequest.Case)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execPermanent := faults.Rule{Point: faults.PointExecBlock, Kind: faults.Permanent, Rate: 1}
+	traceTransient := faults.Rule{Point: faults.PointTraceBlock, Kind: faults.Transient, Rate: 1}
+	for _, c := range []struct {
+		name  string
+		rules []faults.Rule
+		kind  error
+	}{
+		{"exec-permanent", []faults.Rule{execPermanent}, faults.ErrPermanent},
+		{"trace-transient", []faults.Rule{traceTransient}, faults.ErrTransient},
+		{"both", []faults.Rule{execPermanent, traceTransient}, faults.ErrPermanent},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var first string
+			var firstFired [2]int64
+			for run := 0; run < runs; run++ {
+				in := faults.New(1, c.rules...)
+				_, err := New(Config{Workers: 2}).Cell(in.Inject(context.Background()), tc, herdRequest.Procs)
+				if !errors.Is(err, c.kind) || errors.Is(err, context.Canceled) {
+					t.Fatalf("run %d: Cell error %v, want one wrapping %v and not context.Canceled", run, err, c.kind)
+				}
+				fired := [2]int64{in.Fired(faults.Transient), in.Fired(faults.Permanent)}
+				if run == 0 {
+					first, firstFired = err.Error(), fired
+					continue
+				}
+				if err.Error() != first {
+					t.Errorf("run %d: error %q, run 0 %q", run, err, first)
+				}
+				if fired != firstFired {
+					t.Errorf("run %d: fired (transient, permanent) %v, run 0 %v", run, fired, firstFired)
+				}
+			}
+			if c.name == "both" && firstFired != [2]int64{1, 1} {
+				t.Errorf("fired (transient, permanent) %v, want one of each: the failed base run must not stop the trace", firstFired)
+			}
+		})
+	}
+
+	if testing.Short() {
+		return // the cold Predict probes two machines
+	}
+	o := obs.New()
+	ctx, root := obs.StartRequestSpan(o.Inject(context.Background()), "predict", "")
+	if _, err := New(Config{Workers: 2}).Predict(ctx, herdRequest); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	parents := map[string][]uint64{}
+	for _, rec := range o.Tracer.Records() {
+		if rec.Name == "exec" || rec.Name == "trace" {
+			parents[rec.Name] = append(parents[rec.Name], rec.Parent)
+		}
+	}
+	if len(parents["exec"]) != 1 || len(parents["trace"]) != 1 || parents["exec"][0] != parents["trace"][0] {
+		t.Errorf("exec and trace spans by parent %v, want one of each under the same parent", parents)
+	}
+	for _, name := range []string{"predictor_exec_runs_total", "predictor_trace_runs_total"} {
+		if got := o.Metrics.Counter(name).Value(); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
+	}
+}
+
 // TestRankOrdersFastestFirst ranks the cell across three systems and
 // checks ordering plus the shared-cache effect: the cell's base run and
 // trace are computed once, not once per machine.
