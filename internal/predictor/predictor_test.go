@@ -243,34 +243,28 @@ func TestCellFaultsDeterministic(t *testing.T) {
 		name  string
 		rules []faults.Rule
 		kind  error
+		fired [2]int64 // (transient, permanent): each half stops at its own first fault
 	}{
-		{"exec-permanent", []faults.Rule{execPermanent}, faults.ErrPermanent},
-		{"trace-transient", []faults.Rule{traceTransient}, faults.ErrTransient},
-		{"both", []faults.Rule{execPermanent, traceTransient}, faults.ErrPermanent},
+		{"exec-permanent", []faults.Rule{execPermanent}, faults.ErrPermanent, [2]int64{0, 1}},
+		{"trace-transient", []faults.Rule{traceTransient}, faults.ErrTransient, [2]int64{1, 0}},
+		{"both", []faults.Rule{execPermanent, traceTransient}, faults.ErrPermanent, [2]int64{1, 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var first string
-			var firstFired [2]int64
 			for run := 0; run < runs; run++ {
 				in := faults.New(1, c.rules...)
 				_, err := New(Config{Workers: 2}).Cell(in.Inject(context.Background()), tc, herdRequest.Procs)
 				if !errors.Is(err, c.kind) || errors.Is(err, context.Canceled) {
 					t.Fatalf("run %d: Cell error %v, want one wrapping %v and not context.Canceled", run, err, c.kind)
 				}
-				fired := [2]int64{in.Fired(faults.Transient), in.Fired(faults.Permanent)}
 				if run == 0 {
-					first, firstFired = err.Error(), fired
-					continue
-				}
-				if err.Error() != first {
+					first = err.Error()
+				} else if err.Error() != first {
 					t.Errorf("run %d: error %q, run 0 %q", run, err, first)
 				}
-				if fired != firstFired {
-					t.Errorf("run %d: fired (transient, permanent) %v, run 0 %v", run, fired, firstFired)
+				if fired := [2]int64{in.Fired(faults.Transient), in.Fired(faults.Permanent)}; fired != c.fired {
+					t.Errorf("run %d: fired (transient, permanent) %v, want %v", run, fired, c.fired)
 				}
-			}
-			if c.name == "both" && firstFired != [2]int64{1, 1} {
-				t.Errorf("fired (transient, permanent) %v, want one of each: the failed base run must not stop the trace", firstFired)
 			}
 		})
 	}
